@@ -89,6 +89,40 @@ TEST(Explorer, ArbiterWithRecoverySurvivesCrashChoices) {
   EXPECT_EQ(res.stats.schedules, 12312u);
 }
 
+// The starvation-free variant (§4.1) with tau=1: every miss diverts the
+// request to the monitor, so the via-monitor dispatch, the monitor's token
+// visit and its NEW-ARBITER broadcast all become explorable schedules.
+VerifyConfig starvation_free_config() {
+  VerifyConfig cfg = base_config("arbiter-tp-sf");
+  cfg.params.set("tau", 1.0);
+  return cfg;
+}
+
+TEST(Explorer, StarvationFreeN3IsExhaustivelyClean) {
+  const VerifyResult res = explore(starvation_free_config());
+  EXPECT_TRUE(res.ok()) << res.violation->describe();
+  EXPECT_TRUE(res.stats.complete);
+  EXPECT_EQ(res.stats.schedules, 7750u);
+  EXPECT_EQ(res.stats.terminal, 4782u);
+  EXPECT_EQ(res.stats.truncated, 0u);
+  EXPECT_EQ(res.stats.sleep_blocked, 2968u);
+}
+
+TEST(Explorer, StarvationFreeWithRecoverySurvivesMonitorCrash) {
+  // Node 2 is the default monitor: crashing it strands the buffered
+  // requests and any token routed via the monitor.
+  VerifyConfig cfg = starvation_free_config();
+  cfg.params.set("recovery", 1.0);
+  cfg.fault_plan = "t=0 crash 2";
+  const VerifyResult res = explore(cfg);
+  EXPECT_TRUE(res.ok()) << res.violation->describe();
+  EXPECT_TRUE(res.stats.complete);
+  EXPECT_EQ(res.stats.schedules, 41253u);
+  EXPECT_EQ(res.stats.terminal, 26156u);
+  EXPECT_EQ(res.stats.truncated, 6016u);
+  EXPECT_EQ(res.stats.sleep_blocked, 9081u);
+}
+
 TEST(Explorer, IdenticalConfigsProduceIdenticalStats) {
   const VerifyResult a = explore(base_config("arbiter-tp"));
   const VerifyResult b = explore(base_config("arbiter-tp"));
