@@ -14,19 +14,19 @@ namespace dmx::core {
 
 namespace {
 
-// Erase the first element matching the predicate; returns true if erased.
-template <typename Pred>
-bool erase_first(QList& q, Pred pred) {
-  auto it = std::find_if(q.begin(), q.end(), pred);
-  if (it == q.end()) return false;
-  q.erase(it);
-  return true;
-}
+// The initial arbiter, which also holds the initial token (paper §2.2).
+constexpr net::NodeId kInitialArbiter{0};
+// Moving-window length of the average Q-list size estimate that drives the
+// adaptive token-to-monitor period (§4.1).
+constexpr std::size_t kQWindow = 10;
+// A quorum-blocked invalidation round retries after this delay, doubling
+// per consecutive blocked round up to the cap.
+const sim::SimTime kQuorumBackoff = sim::SimTime::units(1.0);
+const sim::SimTime kQuorumBackoffCap = sim::SimTime::units(8.0);
 
 }  // namespace
 
 void ArbiterStats::merge(const ArbiterStats& o) {
-  requests_sent += o.requests_sent;
   requests_forwarded += o.requests_forwarded;
   requests_dropped_stale += o.requests_dropped_stale;
   requests_dropped_overforwarded += o.requests_dropped_overforwarded;
@@ -35,12 +35,9 @@ void ArbiterStats::merge(const ArbiterStats& o) {
   monitor_resubmissions += o.monitor_resubmissions;
   dispatches += o.dispatches;
   monitor_dispatches += o.monitor_dispatches;
-  new_arbiter_broadcasts += o.new_arbiter_broadcasts;
   monitor_buffered += o.monitor_buffered;
   monitor_patience_releases += o.monitor_patience_releases;
   monitor_visits += o.monitor_visits;
-  stale_token_entries += o.stale_token_entries;
-  stale_tokens_discarded += o.stale_tokens_discarded;
   warnings_sent += o.warnings_sent;
   enquiries_sent += o.enquiries_sent;
   resumes_sent += o.resumes_sent;
@@ -48,25 +45,17 @@ void ArbiterStats::merge(const ArbiterStats& o) {
   tokens_regenerated += o.tokens_regenerated;
   probes_sent += o.probes_sent;
   arbiter_takeovers += o.arbiter_takeovers;
-  broadcast_retries += o.broadcast_retries;
-  arbiter_reasserts += o.arbiter_reasserts;
-  arbiter_abdications += o.arbiter_abdications;
   quorum_blocked += o.quorum_blocked;
   quorum_reconciles += o.quorum_reconciles;
 }
 
 ArbiterMutex::ArbiterMutex(ArbiterParams params, std::size_t n_nodes)
-    : params_(params), n_(n_nodes),
-      q_sizes_(params.q_window > 0 ? params.q_window : 1),
+    : params_(params), n_(n_nodes), q_sizes_(kQWindow),
       // The L array exists only in the sequenced variant; sizing it O(N) per
       // node unconditionally costs O(N^2) memory cluster-wide (80 GB at
       // N = 100k) and dominates large-N runs with page faults.
       last_granted_(params.sequenced ? n_nodes : 0, 0) {
   if (n_nodes == 0) throw std::invalid_argument("ArbiterMutex: zero nodes");
-  if (!params_.initial_arbiter.valid() ||
-      params_.initial_arbiter.index() >= n_nodes) {
-    throw std::invalid_argument("ArbiterMutex: bad initial arbiter");
-  }
   if (params_.starvation_free &&
       (!params_.monitor.valid() || params_.monitor.index() >= n_nodes)) {
     throw std::invalid_argument("ArbiterMutex: bad monitor node");
@@ -139,15 +128,15 @@ std::string ArbiterMutex::debug_state() const {
 }
 
 void ArbiterMutex::on_start() {
-  arbiter_ = params_.initial_arbiter;
+  arbiter_ = kInitialArbiter;
   monitor_ = params_.monitor;
   // The initial configuration is static knowledge: everyone knows the
   // initial arbiter starts with the token, so the quorum guard's holder
   // set is never empty before the first dispatch.
   view_epoch_ = epoch_;
-  view_arbiter_ = params_.initial_arbiter;
+  view_arbiter_ = kInitialArbiter;
   view_q_.clear();
-  if (id() == params_.initial_arbiter) {
+  if (id() == kInitialArbiter) {
     // The initial arbiter also holds the initial token (paper §2.2: node 1
     // is the arbiter and transmits the PRIVILEGE at the end of its first
     // collection phase).
@@ -174,7 +163,6 @@ void ArbiterMutex::on_restart() {
   pending_.reset();
   pending_state_ = PendingState::kNone;
   miss_count_ = 0;
-  served_this_batch_ = false;
   monitor_buffer_.clear();
   invalidation_running_ = false;
   replied_waiting_round_ = 0;
@@ -216,7 +204,6 @@ void ArbiterMutex::request(const mutex::CsRequest& req) {
     arbiter_add_request(make_own_entry(), /*from_monitor=*/true);
     return;
   }
-  ++stats_.requests_sent;
   send(arbiter_, net::make_payload<RequestMsg>(make_own_entry()));
   arm_request_retry();
 }
@@ -235,7 +222,6 @@ void ArbiterMutex::arm_request_retry() {
         // probably stale and the system quiet): broadcast the request as a
         // last resort — whoever is the arbiter will collect it, everyone
         // else drops it.
-        ++stats_.broadcast_retries;
         emitf(kEvResubmitBroadcast,
               [] { return std::string("broadcast retry"); },
               pending_->request_id);
@@ -258,7 +244,6 @@ void ArbiterMutex::release() {
   if (pending_state_ != PendingState::kInCs) {
     throw std::logic_error("ArbiterMutex::release: not in critical section");
   }
-  served_this_batch_ = true;
   if (params_.sequenced) {
     last_granted_[id().index()] =
         std::max(last_granted_[id().index()], pending_->sequence);
@@ -332,37 +317,21 @@ void ArbiterMutex::on_request(const net::Envelope&, const RequestMsg& msg) {
     arbiter_add_request(msg.entry, msg.from_monitor);
     return;
   }
-  if (params_.starvation_free && msg.to_monitor && id() == monitor_) {
+  const bool at_monitor = params_.starvation_free && id() == monitor_;
+  if (at_monitor && msg.to_monitor) {
     // §4.1: the monitor stores potential victims of indefinite forwarding
     // until the token visits.
-    if (!q_contains(QList(monitor_buffer_.begin(), monitor_buffer_.end()),
-                    msg.entry.request_id)) {
-      monitor_buffer_.push_back(msg.entry);
-      ++stats_.monitor_buffered;
+    if (buffer_at_monitor(msg.entry)) {
       emitf(kEvMonitorBuffered,
             [&msg] { return "buffered " + msg.describe(); },
             msg.entry.request_id);
-      if (params_.monitor_patience > sim::SimTime::zero() &&
-          !timer_pending(monitor_patience_timer_)) {
-        monitor_patience_timer_ = set_timer(params_.monitor_patience,
-                                            [this] { monitor_release_buffer(); });
-      }
     }
     return;
   }
-  if (forwarding_ && arbiter_ != id()) {
-    // Request forwarding phase (§2.1): relay to the current arbiter.
-    QEntry fwd = msg.entry;
-    ++fwd.forward_count;
-    ++stats_.requests_forwarded;
-    emit(obs::kEvReqForwarded, fwd.request_id, arbiter_.value());
-    send(arbiter_, net::make_payload<RequestMsg>(fwd, /*to_monitor=*/false,
-                                                 msg.from_monitor));
-    return;
-  }
-  if (params_.starvation_free && id() == monitor_ && arbiter_ != id()) {
-    // A stray REQUEST reached the monitor (e.g. routed here during a
-    // via-monitor hand-off); the monitor always knows a recent arbiter.
+  if (arbiter_ != id() && (forwarding_ || at_monitor)) {
+    // Request forwarding phase (§2.1): relay to the current arbiter.  A
+    // stray REQUEST at the monitor (e.g. routed there during a via-monitor
+    // hand-off) is relayed too: the monitor always knows a recent arbiter.
     QEntry fwd = msg.entry;
     ++fwd.forward_count;
     ++stats_.requests_forwarded;
@@ -416,22 +385,21 @@ void ArbiterMutex::become_arbiter(net::NodeId prev_arbiter, QList last_batch) {
   last_batch_q_ = std::move(last_batch);
   ++times_arbiter_;
   emitf(kEvArbiterElected, [] { return std::string("became arbiter"); });
-  if (params_.recovery) arm_token_timeout();
+  arm_token_timeout();
 }
 
 void ArbiterMutex::open_collection_window() {
   phase_ = ArbiterPhase::kWindow;
   cancel_timer(window_timer_);
-  window_timer_ =
-      set_timer(params_.t_req, [this] { on_collection_window_end(); });
+  window_timer_ = set_timer(params_.t_req, [this] { dispatch(); });
 }
 
-void ArbiterMutex::on_collection_window_end() {
+void ArbiterMutex::resume_collection() {
   if (collect_q_.empty()) {
     phase_ = ArbiterPhase::kIdleWithToken;
-    return;
+  } else {
+    open_collection_window();
   }
-  dispatch();
 }
 
 std::uint32_t ArbiterMutex::monitor_period() const {
@@ -477,18 +445,11 @@ void ArbiterMutex::dispatch() {
       return;
     }
     send_privilege(monitor_, /*via_monitor=*/true);
-    have_token_ = false;
-    is_arbiter_ = false;
-    phase_ = ArbiterPhase::kNone;
     arbiter_ = monitor_;  // best forwarding target until the broadcast lands
-    enter_forwarding_phase();
-    arm_arbiter_watchdog();
+    step_down();
     return;
   }
-  finish_dispatch_normal();
-}
 
-void ArbiterMutex::finish_dispatch_normal() {
   const net::NodeId head = q_.front().node;
   const net::NodeId tail = q_.back().node;
   ++counter_;
@@ -503,37 +464,49 @@ void ArbiterMutex::finish_dispatch_normal() {
   const bool sole_self_batch = keep_arbitership && q_.size() == 1;
   const bool skip_broadcast =
       params_.suppress_self_broadcast ? keep_arbitership : sole_self_batch;
-  if (!skip_broadcast || params_.recovery) {
-    auto msg = net::make_payload_mut<NewArbiterMsg>();
-    msg->new_arbiter = tail;
-    msg->q = q_;
-    msg->counter = counter_;
-    msg->monitor = monitor_;
-    msg->epoch = epoch_;
-    broadcast(msg);
-    ++stats_.new_arbiter_broadcasts;
-  }
-  q_sizes_.add(static_cast<double>(q_.size()));  // broadcast skips self
-  arbiter_ = tail;
-  note_dispatch_view(epoch_, tail, q_);
-  served_this_batch_ = false;
+  if (!skip_broadcast || params_.recovery) announce(tail, q_, counter_);
+  record_batch(tail);
   if (keep_arbitership) {
-    phase_ = ArbiterPhase::kAwaitingToken;
-    prev_arbiter_ = id();
-    last_batch_q_ = q_;
-    if (params_.recovery) arm_token_timeout();
+    await_own_token();
   } else {
-    is_arbiter_ = false;
-    phase_ = ArbiterPhase::kNone;
-    enter_forwarding_phase();
-    arm_arbiter_watchdog();
+    step_down();
   }
   if (head == id()) {
     process_token();  // grants our own pending request (we keep the token)
   } else {
     send_privilege(head, /*via_monitor=*/false);
-    have_token_ = false;
   }
+}
+
+void ArbiterMutex::announce(net::NodeId arbiter, const QList& q,
+                            std::uint32_t counter) {
+  auto msg = net::make_payload_mut<NewArbiterMsg>();
+  msg->new_arbiter = arbiter;
+  msg->q = q;
+  msg->counter = counter;
+  msg->monitor = monitor_;
+  msg->epoch = epoch_;
+  broadcast(std::move(msg));
+}
+
+void ArbiterMutex::record_batch(net::NodeId tail) {
+  q_sizes_.add(static_cast<double>(q_.size()));  // broadcast skips self
+  arbiter_ = tail;
+  note_dispatch_view(epoch_, tail, q_);
+}
+
+void ArbiterMutex::await_own_token() {
+  phase_ = ArbiterPhase::kAwaitingToken;
+  prev_arbiter_ = id();
+  last_batch_q_ = q_;
+  arm_token_timeout();
+}
+
+void ArbiterMutex::step_down() {
+  is_arbiter_ = false;
+  phase_ = ArbiterPhase::kNone;
+  enter_forwarding_phase();
+  arm_arbiter_watchdog();
 }
 
 void ArbiterMutex::enter_forwarding_phase() {
@@ -553,13 +526,13 @@ void ArbiterMutex::send_privilege(net::NodeId dst, bool via_monitor) {
   msg->epoch = epoch_;
   msg->via_monitor = via_monitor;
   send(dst, std::move(msg));
+  have_token_ = false;
 }
 
 void ArbiterMutex::on_privilege(const net::Envelope&,
                                 const PrivilegeMsg& msg) {
   if (msg.epoch < epoch_) {
     // A token from before an invalidation: it has been superseded.
-    ++stats_.stale_tokens_discarded;
     emitf(kEvTokenStale,
           [&msg] { return "discarded stale " + msg.describe(); });
     return;
@@ -608,7 +581,6 @@ void ArbiterMutex::process_token() {
     }
     // A stale entry for us (e.g. a resubmitted duplicate already served):
     // consume it so the token keeps moving.
-    ++stats_.stale_token_entries;
     q_.erase(q_.begin());
   }
   if (q_.empty()) {
@@ -621,7 +593,6 @@ void ArbiterMutex::process_token() {
         },
         q_.front().request_id, q_.front().node.value());
   send_privilege(q_.front().node, /*via_monitor=*/false);
-  have_token_ = false;
 }
 
 void ArbiterMutex::arbiter_token_arrived() {
@@ -638,18 +609,14 @@ void ArbiterMutex::arbiter_token_arrived() {
           return "token arrived; collected=" + q_to_string(collect_q_);
         },
         0, static_cast<std::int64_t>(collect_q_.size()));
-  if (collect_q_.empty()) {
-    phase_ = ArbiterPhase::kIdleWithToken;
-  } else {
-    open_collection_window();
-  }
+  resume_collection();
 }
 
 void ArbiterMutex::monitor_token_visit() {
   ++stats_.monitor_visits;
   // Append buffered (potentially starving) requests to the Q-list, then
   // broadcast the NEW-ARBITER the dispatching arbiter suppressed.
-  for (const QEntry& e : monitor_buffer_) q_.push_back(e);
+  q_.insert(q_.end(), monitor_buffer_.begin(), monitor_buffer_.end());
   monitor_buffer_.clear();
   cancel_timer(monitor_patience_timer_);
   dedup_batch(q_);
@@ -662,46 +629,40 @@ void ArbiterMutex::monitor_token_visit() {
     // Every entry was a duplicate; keep the token here as a fresh arbiter.
     become_arbiter(arbiter_, QList{});
     arbiter_ = id();
-    phase_ = collect_q_.empty() ? ArbiterPhase::kIdleWithToken
-                                : ArbiterPhase::kWindow;
-    if (phase_ == ArbiterPhase::kWindow) open_collection_window();
+    resume_collection();
     return;
   }
   const net::NodeId tail = q_.back().node;
-  auto msg = net::make_payload_mut<NewArbiterMsg>();
-  msg->new_arbiter = tail;
-  msg->q = q_;
-  msg->counter = 0;
-  msg->monitor = monitor_;
-  msg->epoch = epoch_;
-  broadcast(msg);
-  ++stats_.new_arbiter_broadcasts;
-  q_sizes_.add(static_cast<double>(q_.size()));
-  arbiter_ = tail;
-  note_dispatch_view(epoch_, tail, q_);
-  served_this_batch_ = false;
+  announce(tail, q_, counter_);
+  record_batch(tail);
   note_scheduled_batch(q_);
   if (tail == id()) {
     if (is_arbiter_) {
       // We dispatched to ourselves as monitor and are also the next arbiter.
-      phase_ = ArbiterPhase::kAwaitingToken;
-      prev_arbiter_ = id();
-      last_batch_q_ = q_;
-      if (params_.recovery) arm_token_timeout();
+      await_own_token();
     } else {
       become_arbiter(id(), q_);
     }
   } else if (is_arbiter_) {
     // Inline monitor visit at the dispatching arbiter: arbitership moves on.
-    is_arbiter_ = false;
-    phase_ = ArbiterPhase::kNone;
-    enter_forwarding_phase();
-    arm_arbiter_watchdog();
+    step_down();
   }
   emitf(kEvMonitorTokenVisit,
         [this] { return "token visit; Q=" + q_to_string(q_); }, 0,
         static_cast<std::int64_t>(q_.size()));
   process_token();
+}
+
+bool ArbiterMutex::buffer_at_monitor(const QEntry& entry) {
+  if (q_contains(monitor_buffer_, entry.request_id)) return false;
+  monitor_buffer_.push_back(entry);
+  ++stats_.monitor_buffered;
+  if (params_.monitor_patience > sim::SimTime::zero() &&
+      !timer_pending(monitor_patience_timer_)) {
+    monitor_patience_timer_ = set_timer(params_.monitor_patience,
+                                        [this] { monitor_release_buffer(); });
+  }
+  return true;
 }
 
 void ArbiterMutex::monitor_release_buffer() {
@@ -728,14 +689,18 @@ void ArbiterMutex::monitor_release_buffer() {
 // NEW-ARBITER plane (requester bookkeeping, §6 implicit acks)
 // ---------------------------------------------------------------------------
 
+void ArbiterMutex::mark_scheduled() {
+  pending_state_ = PendingState::kScheduled;
+  miss_count_ = 0;
+  retry_count_ = 0;
+  cancel_timer(request_retry_timer_);
+  arm_token_timeout();
+}
+
 void ArbiterMutex::note_scheduled_batch(const QList& q) {
   if (pending_.has_value() && pending_state_ == PendingState::kSent &&
       q_contains(q, pending_->request_id)) {
-    pending_state_ = PendingState::kScheduled;
-    miss_count_ = 0;
-    retry_count_ = 0;
-    cancel_timer(request_retry_timer_);
-    if (params_.recovery) arm_token_timeout();
+    mark_scheduled();
   }
 }
 
@@ -750,21 +715,13 @@ void ArbiterMutex::on_new_arbiter(const net::Envelope& env,
     if (have_token_) {
       // The token is the ground truth: re-assert our claim; the token-less
       // claimant abdicates on receiving it.
-      ++stats_.arbiter_reasserts;
       emitf(kEvRecoveryReassert, [] {
         return std::string("re-asserting arbitership (we hold the token)");
       });
-      auto assert_msg = net::make_payload_mut<NewArbiterMsg>();
-      assert_msg->new_arbiter = id();
-      assert_msg->counter = counter_;
-      assert_msg->monitor = monitor_;
-      assert_msg->epoch = epoch_;
-      broadcast(assert_msg);
-      ++stats_.new_arbiter_broadcasts;
+      announce(id(), QList{}, counter_);
       return;  // keep our own arbiter_ = self
     }
     // Token-less: step down and hand our collected batch to the claimant.
-    ++stats_.arbiter_abdications;
     emitf(kEvRecoveryAbdicate,
           [&msg] {
             return "abdicating to node " +
@@ -791,7 +748,6 @@ void ArbiterMutex::on_new_arbiter(const net::Envelope& env,
   if (msg.monitor.valid()) monitor_ = msg.monitor;
   counter_ = msg.counter;
   if (!msg.q.empty()) q_sizes_.add(static_cast<double>(msg.q.size()));
-  served_this_batch_ = false;
   replied_waiting_round_ = 0;  // progress resolves any invalidation round
   cancel_timer(watchdog_timer_);
   cancel_timer(probe_timer_);
@@ -804,13 +760,7 @@ void ArbiterMutex::on_new_arbiter(const net::Envelope& env,
 
   if (q_contains(msg.q, pending_->request_id)) {
     // The Q-list doubles as the implicit acknowledgment (§6).
-    if (pending_state_ == PendingState::kSent) {
-      pending_state_ = PendingState::kScheduled;
-    }
-    miss_count_ = 0;
-    retry_count_ = 0;
-    cancel_timer(request_retry_timer_);
-    if (params_.recovery) arm_token_timeout();
+    mark_scheduled();
     return;
   }
 
@@ -846,21 +796,11 @@ void ArbiterMutex::resubmit_pending(bool to_monitor) {
           [this] { return "to monitor " + std::to_string(monitor_.value()); },
           pending_->request_id, monitor_.value());
     if (monitor_ == id()) {
-      // We are the monitor: buffer our own entry directly.
-      if (!q_contains(QList(monitor_buffer_.begin(), monitor_buffer_.end()),
-                      pending_->request_id)) {
-        monitor_buffer_.push_back(make_own_entry());
-        ++stats_.monitor_buffered;
-        if (params_.monitor_patience > sim::SimTime::zero() &&
-            !timer_pending(monitor_patience_timer_)) {
-          monitor_patience_timer_ = set_timer(
-              params_.monitor_patience, [this] { monitor_release_buffer(); });
-        }
-      }
-      return;
+      buffer_at_monitor(make_own_entry());  // we are the monitor
+    } else {
+      send(monitor_, net::make_payload<RequestMsg>(make_own_entry(),
+                                                   /*to_monitor=*/true));
     }
-    send(monitor_,
-         net::make_payload<RequestMsg>(make_own_entry(), /*to_monitor=*/true));
     return;
   }
   ++stats_.resubmissions;
@@ -909,26 +849,21 @@ void ArbiterMutex::start_invalidation() {
   waiting_entries_.clear();
   enquiry_recipients_.clear();
   std::unordered_set<net::NodeId> targets;
-  if (params_.recovery_quorum) {
-    // Quorum mode enquires the whole cluster: the majority count is over N,
-    // and any node may carry the freshest view of who could hold the token.
-    for (std::size_t i = 0; i < n_; ++i) {
-      const net::NodeId nid{static_cast<std::int32_t>(i)};
-      if (nid != id()) targets.insert(nid);
-    }
-  } else {
+  if (!params_.recovery_quorum) {
     for (const QEntry& e : last_batch_q_) {
       if (e.node != id()) targets.insert(e.node);
     }
     if (prev_arbiter_.valid() && prev_arbiter_ != id()) {
       targets.insert(prev_arbiter_);
     }
-    if (targets.empty()) {
-      // Takeover case: no known batch — ask everyone.
-      for (std::size_t i = 0; i < n_; ++i) {
-        const net::NodeId nid{static_cast<std::int32_t>(i)};
-        if (nid != id()) targets.insert(nid);
-      }
+  }
+  if (targets.empty()) {
+    // Ask everyone: quorum mode always does (the majority count is over N,
+    // and any node may carry the freshest view of who could hold the
+    // token), and so does a takeover, which knows no batch.
+    for (std::size_t i = 0; i < n_; ++i) {
+      const net::NodeId nid{static_cast<std::int32_t>(i)};
+      if (nid != id()) targets.insert(nid);
     }
   }
   emitf(kEvRecoveryInvalidation,
@@ -983,14 +918,15 @@ void ArbiterMutex::on_enquiry(const net::Envelope& env, const EnquiryMsg& msg) {
                    std::to_string(env.src.value());
           },
           0, env.src.value());
-    auto assert_msg = net::make_payload_mut<NewArbiterMsg>();
-    assert_msg->new_arbiter = id();
-    assert_msg->counter = counter_;
-    assert_msg->monitor = monitor_;
-    assert_msg->epoch = epoch_;
-    broadcast(assert_msg);
-    ++stats_.new_arbiter_broadcasts;
+    announce(id(), QList{}, counter_);
   }
+}
+
+void ArbiterMutex::send_resume(net::NodeId dst, std::uint64_t round) {
+  auto r = net::make_payload_mut<ResumeMsg>();
+  r->round = round;
+  send(dst, std::move(r));
+  ++stats_.resumes_sent;
 }
 
 void ArbiterMutex::on_enquiry_reply(const net::Envelope& env,
@@ -1001,10 +937,7 @@ void ArbiterMutex::on_enquiry_reply(const net::Envelope& env,
         // Quorum mode parked that round without regenerating: the surfaced
         // token is the genuine one, not a superseded duplicate — let it
         // proceed instead of ordering the only token destroyed.
-        auto r = net::make_payload_mut<ResumeMsg>();
-        r->round = msg.round;
-        send(env.src, std::move(r));
-        ++stats_.resumes_sent;
+        send_resume(env.src, msg.round);
         arm_token_timeout();
         clear_quorum_backoff();
         return;
@@ -1026,21 +959,16 @@ void ArbiterMutex::on_enquiry_reply(const net::Envelope& env,
   info.view_q = msg.view_q;
   if (msg.status == TokenStatus::kHaveToken) {
     // Phase 2, token found: everything resumes.
-    auto r = net::make_payload_mut<ResumeMsg>();
-    r->round = msg.round;
-    send(env.src, std::move(r));
-    ++stats_.resumes_sent;
+    send_resume(env.src, msg.round);
     invalidation_running_ = false;
     cancel_timer(enquiry_timer_);
     arm_token_timeout();  // keep waiting for the token to finish its route
     clear_quorum_backoff();
     return;
   }
-  if (msg.status == TokenStatus::kWaiting) {
-    if (!q_contains(QList(waiting_entries_.begin(), waiting_entries_.end()),
-                    msg.entry.request_id)) {
-      waiting_entries_.push_back(msg.entry);
-    }
+  if (msg.status == TokenStatus::kWaiting &&
+      !q_contains(waiting_entries_, msg.entry.request_id)) {
+    waiting_entries_.push_back(msg.entry);
   }
   if (replies_.size() >= enquiry_recipients_.size()) {
     conclude_invalidation();
@@ -1089,11 +1017,7 @@ void ArbiterMutex::conclude_invalidation() {
           return "token regenerated, epoch " + std::to_string(epoch_);
         },
         0, static_cast<std::int64_t>(epoch_));
-  if (collect_q_.empty()) {
-    phase_ = ArbiterPhase::kIdleWithToken;
-  } else {
-    open_collection_window();
-  }
+  resume_collection();
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,22 +1088,15 @@ void ArbiterMutex::park_invalidation() {
         0, static_cast<std::int64_t>(enquiry_round_),
         static_cast<double>(replies_.size()));
   for (const auto& [node, r] : replies_) {
-    if (r.status == TokenStatus::kWaiting) {
-      auto resume = net::make_payload_mut<ResumeMsg>();
-      resume->round = enquiry_round_;
-      send(node, std::move(resume));
-      ++stats_.resumes_sent;
-    }
+    if (r.status == TokenStatus::kWaiting) send_resume(node, enquiry_round_);
   }
   waiting_entries_.clear();
   replies_.clear();
   enquiry_recipients_.clear();
   const std::uint32_t shift =
       std::min<std::uint32_t>(quorum_blocked_streak_ - 1, 20);
-  sim::SimTime delay = params_.quorum_backoff * (std::int64_t{1} << shift);
-  if (delay > params_.quorum_backoff_cap || delay <= sim::SimTime::zero()) {
-    delay = params_.quorum_backoff_cap;
-  }
+  const sim::SimTime delay =
+      std::min(kQuorumBackoff * (std::int64_t{1} << shift), kQuorumBackoffCap);
   cancel_timer(quorum_retry_timer_);
   quorum_retry_timer_ = set_timer(delay, [this] {
     if (is_arbiter_ && !have_token_ && !invalidation_running_) {
@@ -1222,7 +1139,6 @@ void ArbiterMutex::on_invalidate(const net::Envelope&,
     have_token_ = false;
     suspended_ = false;
     q_.clear();
-    ++stats_.stale_tokens_discarded;
     emitf(kEvTokenInvalidated,
           [] { return std::string("held token invalidated"); });
   }
@@ -1263,13 +1179,7 @@ void ArbiterMutex::takeover_arbitership() {
   emitf(kEvRecoveryTakeover, [] { return std::string("arbiter takeover"); });
   arbiter_ = id();
   become_arbiter(net::NodeId{}, QList{});
-  auto msg = net::make_payload_mut<NewArbiterMsg>();
-  msg->new_arbiter = id();
-  msg->counter = counter_;
-  msg->monitor = monitor_;
-  msg->epoch = epoch_;
-  broadcast(msg);
-  ++stats_.new_arbiter_broadcasts;
+  announce(id(), QList{}, counter_);
   if (pending_.has_value() && pending_state_ != PendingState::kInCs &&
       !q_contains(collect_q_, pending_->request_id)) {
     pending_state_ = PendingState::kSent;

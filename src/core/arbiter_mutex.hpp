@@ -18,6 +18,14 @@
 //  * recovery         — lost-request retransmission, WARNING + two-phase
 //                       token invalidation/regeneration, previous-arbiter
 //                       watchdog with PROBE/takeover (§6).
+//
+// Every variant runs through the same core, and each protocol step exists
+// once: announce() is the only NEW-ARBITER broadcast (dispatch, the
+// monitor's token visit, the holder's reassert, the quorum reconcile and
+// a takeover all call it), and a hand-off is record_batch() followed by
+// await_own_token() or step_down().  Fixed design constants (initial
+// arbiter node 0, the §4.1 Q-size window of 10, the quorum retry backoff
+// of 1 doubling to 8 units) live in arbiter_mutex.cpp, not ArbiterParams.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +45,6 @@ namespace dmx::core {
 /// Per-node protocol counters, summed across nodes by the harness.
 struct ArbiterStats {
   // Request plane.
-  std::uint64_t requests_sent = 0;        ///< First transmissions to arbiter.
   std::uint64_t requests_forwarded = 0;   ///< Forwarding-phase relays.
   std::uint64_t requests_dropped_stale = 0;      ///< Arrived outside phases.
   std::uint64_t requests_dropped_overforwarded = 0;  ///< fwd count > tau.
@@ -47,14 +54,10 @@ struct ArbiterStats {
   // Arbiter plane.
   std::uint64_t dispatches = 0;
   std::uint64_t monitor_dispatches = 0;   ///< Token routed via the monitor.
-  std::uint64_t new_arbiter_broadcasts = 0;
   // Monitor plane.
   std::uint64_t monitor_buffered = 0;
   std::uint64_t monitor_patience_releases = 0;
   std::uint64_t monitor_visits = 0;
-  // Token plane.
-  std::uint64_t stale_token_entries = 0;  ///< Q heads popped without a match.
-  std::uint64_t stale_tokens_discarded = 0;  ///< Old-epoch PRIVILEGE killed.
   // Recovery plane.
   std::uint64_t warnings_sent = 0;
   std::uint64_t enquiries_sent = 0;
@@ -63,9 +66,6 @@ struct ArbiterStats {
   std::uint64_t tokens_regenerated = 0;
   std::uint64_t probes_sent = 0;
   std::uint64_t arbiter_takeovers = 0;
-  std::uint64_t broadcast_retries = 0;   ///< Last-resort REQUEST broadcasts.
-  std::uint64_t arbiter_reasserts = 0;   ///< Token holder re-claimed the role.
-  std::uint64_t arbiter_abdications = 0; ///< Token-less arbiter stepped down.
   // Partition-safe recovery plane (quorum mode).
   std::uint64_t quorum_blocked = 0;      ///< Regenerations refused (no quorum).
   std::uint64_t quorum_reconciles = 0;   ///< Heal-time NEW-ARBITER reasserts.
@@ -94,11 +94,7 @@ class ArbiterMutex final : public mutex::MutexAlgorithm {
     return epoch_;
   }
   [[nodiscard]] net::NodeId known_arbiter() const { return arbiter_; }
-  [[nodiscard]] net::NodeId known_monitor() const { return monitor_; }
-  [[nodiscard]] const QList& token_q() const { return q_; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] std::uint64_t times_arbiter() const { return times_arbiter_; }
-  [[nodiscard]] const ArbiterParams& params() const { return params_; }
 
  protected:
   void on_start() override;
@@ -127,18 +123,25 @@ class ArbiterMutex final : public mutex::MutexAlgorithm {
   void become_arbiter(net::NodeId prev_arbiter, QList last_batch);
   void arbiter_add_request(const QEntry& entry, bool from_monitor);
   void open_collection_window();
-  void on_collection_window_end();
+  void resume_collection();
   void dispatch();
-  void finish_dispatch_normal();
+  // The hand-off steps a dispatch (or the monitor's token visit) is built
+  // from, in the order they run.
+  void announce(net::NodeId arbiter, const QList& q, std::uint32_t counter);
+  void record_batch(net::NodeId tail);
+  void await_own_token();
+  void step_down();
   void enter_forwarding_phase();
 
   // Token plane.
   void arbiter_token_arrived();
   void process_token();
-  void send_privilege(net::NodeId dst, bool via_monitor);
+  void send_privilege(net::NodeId dst, bool via_monitor);  ///< Gives it up.
   void monitor_token_visit();
+  bool buffer_at_monitor(const QEntry& entry);
 
   // Requester plane.
+  void mark_scheduled();
   void note_scheduled_batch(const QList& q);
   void resubmit_pending(bool to_monitor);
   void arm_token_timeout();
@@ -148,6 +151,7 @@ class ArbiterMutex final : public mutex::MutexAlgorithm {
   // Recovery plane.
   void on_token_timeout();
   void start_invalidation();
+  void send_resume(net::NodeId dst, std::uint64_t round);
   void conclude_invalidation();
   void arm_arbiter_watchdog();
   void on_successor_silent();
@@ -188,7 +192,6 @@ class ArbiterMutex final : public mutex::MutexAlgorithm {
   bool suspended_ = false;              ///< Held still during invalidation.
   QList q_;
   std::vector<std::uint64_t> last_granted_;  ///< Sequenced variant's L array.
-  bool served_this_batch_ = false;
 
   // Arbiter state.
   bool is_arbiter_ = false;
@@ -204,7 +207,7 @@ class ArbiterMutex final : public mutex::MutexAlgorithm {
   runtime::TimerId forwarding_timer_;
 
   // Monitor state.
-  std::vector<QEntry> monitor_buffer_;
+  QList monitor_buffer_;
   runtime::TimerId monitor_patience_timer_;
 
   // Recovery state.
@@ -219,7 +222,7 @@ class ArbiterMutex final : public mutex::MutexAlgorithm {
     QList view_q;
   };
   std::unordered_map<net::NodeId, ReplyInfo> replies_;
-  std::vector<QEntry> waiting_entries_;
+  QList waiting_entries_;
   runtime::TimerId enquiry_timer_;
   runtime::TimerId watchdog_timer_;
   runtime::TimerId probe_timer_;

@@ -17,8 +17,6 @@ struct ArbiterParams {
   sim::SimTime t_req = sim::SimTime::units(0.1);
   /// Duration of the request-forwarding phase after handing off the token.
   sim::SimTime t_fwd = sim::SimTime::units(0.1);
-  /// The node initially designated arbiter (and initial token holder).
-  net::NodeId initial_arbiter{0};
   /// Batch ordering policy (§2.4 sequence fairness, §5.2 priorities).
   BatchOrder order = BatchOrder::kFcfs;
   /// Sequenced variant (§2.4): token carries the last-granted array L and
@@ -49,9 +47,6 @@ struct ArbiterParams {
   /// Drop requests forwarded more than tau times; requesters divert to the
   /// monitor after tau consecutive NEW-ARBITER misses.
   std::uint32_t tau = 3;
-  /// Moving-window length for the average Q-list size estimate that drives
-  /// the adaptive token-to-monitor period.
-  std::uint32_t q_window = 10;
   /// Rotate the monitor role round-robin on every monitor visit (§5.1).
   bool rotate_monitor = false;
   /// Implementation safeguard: if the monitor sits on buffered requests this
@@ -80,13 +75,12 @@ struct ArbiterParams {
   /// invalidation round.  Off by default (paper-faithful §6 behavior, which
   /// admits split brain under partition — DESIGN.md §13).
   bool recovery_quorum = false;
-  /// Initial retry delay after a quorum-blocked invalidation round.
-  sim::SimTime quorum_backoff = sim::SimTime::units(1.0);
-  /// Backoff doubles per consecutive blocked round up to this cap.
-  sim::SimTime quorum_backoff_cap = sim::SimTime::units(8.0);
 
   /// Build from a generic ParamSet (registry/bench path); unknown keys are
-  /// ignored, missing keys keep the defaults above.
+  /// ignored, missing keys keep the defaults above.  Throws
+  /// std::invalid_argument naming the key for a negative time, a negative
+  /// or fractional tau / resubmit_after_misses / monitor, or a string where
+  /// a number belongs.
   static ArbiterParams from_params(const mutex::ParamSet& p);
 };
 

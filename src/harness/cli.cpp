@@ -18,8 +18,6 @@
 
 namespace dmx::harness {
 
-namespace {
-
 double parse_double(const std::string& flag, const std::string& value) {
   try {
     std::size_t pos = 0;
@@ -42,6 +40,8 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
   }
   return out;
 }
+
+namespace {
 
 std::vector<double> parse_double_list(const std::string& flag,
                                       const std::string& value) {
@@ -199,6 +199,16 @@ int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
 
 }  // namespace
 
+void parse_param(const std::string& flag, const std::string& kv,
+                 mutex::ParamSet& params) {
+  const auto [k, v] = split_kv(flag, kv);
+  try {
+    params.set(k, parse_double(flag, v));
+  } catch (const std::invalid_argument&) {
+    params.set(k, v);
+  }
+}
+
 std::string cli_usage() {
   return R"(dmx_sweep — sweep the distributed mutual exclusion simulator
 
@@ -287,13 +297,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--t-exec") {
       o.t_exec = parse_double(a, need_value(i++, a));
     } else if (a == "--param") {
-      const auto [k, v] = split_kv(a, need_value(i++, a));
-      // Numeric if it parses as a number, string otherwise.
-      try {
-        o.params.set(k, parse_double(a, v));
-      } catch (const std::invalid_argument&) {
-        o.params.set(k, v);
-      }
+      parse_param(a, need_value(i++, a), o.params);
     } else if (a == "--delay") {
       const std::string v = need_value(i++, a);
       if (v == "constant") {

@@ -95,6 +95,18 @@ struct CliOptions {
 /// Parses argv; throws std::invalid_argument with a message on bad input.
 CliOptions parse_cli(const std::vector<std::string>& args);
 
+// Value parsers shared by the three command-line tools (dmx_sweep,
+// dmx_trace, dmx_verify).  Each rejects the whole value unless all of it
+// parses, throwing std::invalid_argument that names `flag`.
+double parse_double(const std::string& flag, const std::string& value);
+std::uint64_t parse_u64(const std::string& flag, const std::string& value);
+/// One `--param key=value`: the value is stored as a number if it parses
+/// as one, as a string otherwise (e.g. order=priority).  A malformed
+/// number (t_req=0.5x) is thus a string, which the algorithm's numeric
+/// read of that key rejects.
+void parse_param(const std::string& flag, const std::string& kv,
+                 mutex::ParamSet& params);
+
 /// Usage text for --help / errors.
 std::string cli_usage();
 

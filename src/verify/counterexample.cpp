@@ -55,6 +55,9 @@ std::string Counterexample::to_string() const {
   for (const auto& [key, value] : config.params.nums()) {
     out += "param " + key + " " + fmt_double(value) + "\n";
   }
+  for (const auto& [key, value] : config.params.strs()) {
+    out += "param " + key + " " + value + "\n";
+  }
   if (!config.fault_plan.empty()) {
     out += "fault " + config.fault_plan + "\n";
   }
@@ -121,8 +124,15 @@ Counterexample Counterexample::parse(std::string_view text) {
       if (sep == std::string::npos) {
         throw std::invalid_argument("dmx.cex: param needs key value: " + line);
       }
-      cex.config.params.set(rest.substr(0, sep),
-                            parse_double(rest.substr(sep + 1), line));
+      // As on the command line: a number if it parses as one (e.g. tau),
+      // a name otherwise (e.g. order).
+      const std::string key = rest.substr(0, sep);
+      const std::string value = rest.substr(sep + 1);
+      try {
+        cex.config.params.set(key, parse_double(value, line));
+      } catch (const std::invalid_argument&) {
+        cex.config.params.set(key, value);
+      }
     } else if (kw == "fault") {
       cex.config.fault_plan = rest;
     } else if (kw == "violation") {

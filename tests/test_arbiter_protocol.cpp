@@ -268,8 +268,6 @@ TEST(ArbiterProtocol, RejectsDoubleRequest) {
 TEST(ArbiterProtocol, ConstructorValidation) {
   ArbiterParams p;
   EXPECT_THROW(ArbiterMutex(p, 0), std::invalid_argument);
-  p.initial_arbiter = net::NodeId{9};
-  EXPECT_THROW(ArbiterMutex(p, 3), std::invalid_argument);
   ArbiterParams sf;
   sf.starvation_free = true;
   sf.monitor = net::NodeId{7};

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "harness/cli.hpp"
 
@@ -82,6 +83,46 @@ TEST(Cli, Rejections) {
   EXPECT_THROW(parse({"--delay", "warp"}), std::invalid_argument);
   EXPECT_THROW(parse({"--loss", "PRIVILEGE"}), std::invalid_argument);
   EXPECT_THROW(parse({"--t-msg", "1.5x"}), std::invalid_argument);
+}
+
+TEST(Cli, SharedValueParsersRejectTrailingJunk) {
+  // dmx_trace and dmx_verify parse with these too.
+  EXPECT_EQ(parse_u64("--n", "3"), 3u);
+  EXPECT_THROW(parse_u64("--n", "3x"), std::invalid_argument);
+  EXPECT_THROW(parse_u64("--n", "-1"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parse_double("--until", "2.5"), 2.5);
+  EXPECT_THROW(parse_double("--until", "2.5x"), std::invalid_argument);
+}
+
+TEST(Cli, ParamValuesAreNumbersOrNames) {
+  mutex::ParamSet p;
+  parse_param("--param", "tau=2", p);
+  parse_param("--param", "order=priority", p);
+  parse_param("--param", "t_req=0.5x", p);
+  EXPECT_DOUBLE_EQ(p.get_num("tau", 0.0), 2.0);
+  EXPECT_EQ(p.get_str("order", "fcfs"), "priority");
+  // A malformed number is kept as a name, so reading it as a time fails
+  // instead of silently keeping the default.
+  EXPECT_THROW((void)p.get_time("t_req", sim::SimTime::zero()),
+               std::invalid_argument);
+  EXPECT_THROW(parse_param("--param", "t_req", p), std::invalid_argument);
+}
+
+TEST(Cli, RunRejectsOutOfRangeParamsUpFront) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"tau=-1", "tau"}, {"t_req=-1", "t_req"}, {"t_req=0.5x", "t_req"}};
+  for (const auto& [kv, key] : cases) {
+    CliOptions o = parse({"--param", kv, "--requests", "100", "--seeds", "1"});
+    std::ostringstream os;
+    try {
+      (void)run_cli(o, os);
+      ADD_FAILURE() << kv << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(os.str().find("drained"), std::string::npos) << os.str();
+  }
 }
 
 TEST(Cli, RunHelpPrintsUsage) {

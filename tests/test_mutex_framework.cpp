@@ -2,6 +2,7 @@
 // (serialization, metrics, crash handling) and the registry/params layer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "harness/experiment.hpp"
@@ -233,6 +234,72 @@ TEST(ArbiterParams, FromParamSet) {
   ParamSet bad;
   bad.set("order", std::string("bogus"));
   EXPECT_THROW(core::ArbiterParams::from_params(bad), std::invalid_argument);
+}
+
+TEST(ParamSet, ReadingAKeyAsTheOtherKindThrows) {
+  ParamSet p;
+  p.set("t_req", std::string("0.5x")).set("order", 1.0);
+  EXPECT_THROW((void)p.get_num("t_req", 0.1), std::invalid_argument);
+  EXPECT_THROW((void)p.require_num("t_req"), std::invalid_argument);
+  EXPECT_THROW((void)p.get_time("t_req", sim::SimTime::zero()),
+               std::invalid_argument);
+  EXPECT_THROW((void)p.get_bool("t_req", false), std::invalid_argument);
+  EXPECT_THROW((void)p.get_str("order", "fcfs"), std::invalid_argument);
+  // Setting a key again replaces its kind.
+  p.set("t_req", 0.2).set("order", std::string("priority"));
+  EXPECT_DOUBLE_EQ(p.get_num("t_req", 0.1), 0.2);
+  EXPECT_EQ(p.get_str("order", "fcfs"), "priority");
+}
+
+// The from_params error names the offending key.
+void expect_rejected(const std::string& key, const ParamSet& p) {
+  try {
+    (void)core::ArbiterParams::from_params(p);
+    ADD_FAILURE() << key << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(ArbiterParams, RejectsNegativeOrInfiniteTimes) {
+  for (const char* key :
+       {"t_req", "t_fwd", "request_retry_timeout", "monitor_patience",
+        "token_timeout", "enquiry_timeout", "arbiter_timeout",
+        "probe_timeout"}) {
+    expect_rejected(key, ParamSet().set(key, -1.0));
+    expect_rejected(key, ParamSet().set(key, HUGE_VAL));
+  }
+}
+
+TEST(ArbiterParams, RejectsNegativeOrFractionalCounts) {
+  for (const char* key : {"tau", "resubmit_after_misses", "monitor"}) {
+    expect_rejected(key, ParamSet().set(key, -1.0));
+    expect_rejected(key, ParamSet().set(key, 1.5));
+  }
+}
+
+TEST(ArbiterParams, RejectsAMalformedNumber) {
+  // What --param t_req=0.5x stores: not a number, so not silently 0.1.
+  expect_rejected("t_req", ParamSet().set("t_req", std::string("0.5x")));
+}
+
+TEST(ArbiterParams, AcceptsTheZerosThatDisableAFeature) {
+  ParamSet p;
+  p.set("resubmit_after_misses", 0.0)
+      .set("request_retry_timeout", 0.0)
+      .set("monitor_patience", 0.0)
+      .set("tau", 0.0)
+      .set("t_req", 0.0)
+      .set("t_fwd", 0.0)
+      .set("monitor", 0.0);
+  const auto a = core::ArbiterParams::from_params(p);
+  EXPECT_EQ(a.resubmit_after_misses, 0u);
+  EXPECT_EQ(a.request_retry_timeout, sim::SimTime::zero());
+  EXPECT_EQ(a.monitor_patience, sim::SimTime::zero());
+  EXPECT_EQ(a.tau, 0u);
+  EXPECT_EQ(a.t_req, sim::SimTime::zero());
+  EXPECT_EQ(a.t_fwd, sim::SimTime::zero());
+  EXPECT_EQ(a.monitor, net::NodeId{0});
 }
 
 }  // namespace

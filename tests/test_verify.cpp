@@ -255,6 +255,17 @@ TEST(Counterexamples, RoundTripThroughTextFormat) {
   EXPECT_EQ(back.to_string(), cex.to_string());
 }
 
+TEST(Counterexamples, NamedParamsRoundTrip) {
+  // dmx_verify --param order=priority stores a name, not a number.
+  Counterexample cex;
+  cex.config = base_config("arbiter-tp");
+  cex.config.params.set("order", std::string("priority")).set("tau", 2.0);
+  const Counterexample back = Counterexample::parse(cex.to_string());
+  EXPECT_EQ(back.config.params.get_str("order", "fcfs"), "priority");
+  EXPECT_EQ(back.config.params.get_num("tau", 0.0), 2.0);
+  EXPECT_EQ(back.to_string(), cex.to_string());
+}
+
 TEST(Counterexamples, ReplayReproducesTheViolation) {
   const VerifyResult res = explore(base_config("mutant-token-regen"));
   ASSERT_FALSE(res.ok());

@@ -54,15 +54,14 @@ usage: dmx_trace [flags]
   std::exit(2);
 }
 
-Action parse_action(Action::Kind kind, const std::string& v) {
+Action parse_action(Action::Kind kind, const std::string& flag,
+                    const std::string& v) {
   const auto colon = v.find(':');
   if (colon == std::string::npos) usage_error("expected NODE:TIME, got " + v);
-  try {
-    return Action{kind, std::stoul(v.substr(0, colon)),
-                  std::stod(v.substr(colon + 1))};
-  } catch (const std::exception&) {
-    usage_error("bad NODE:TIME: " + v);
-  }
+  return Action{kind,
+                static_cast<std::size_t>(
+                    dmx::harness::parse_u64(flag, v.substr(0, colon))),
+                dmx::harness::parse_double(flag, v.substr(colon + 1))};
 }
 
 }  // namespace
@@ -79,55 +78,54 @@ int main(int argc, char** argv) {
   std::string trace_format = "jsonl";
 
   const std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value = [&](const char* flag) {
-      if (i + 1 >= args.size()) usage_error(std::string("missing value for ") + flag);
-      return args[++i];
-    };
-    const std::string& a = args[i];
-    if (a == "--algo") {
-      algo = value("--algo");
-    } else if (a == "--n") {
-      n = std::stoul(value("--n"));
-    } else if (a == "--t-msg") {
-      t_msg = std::stod(value("--t-msg"));
-    } else if (a == "--t-exec") {
-      t_exec = std::stod(value("--t-exec"));
-    } else if (a == "--unit-times") {
-      t_msg = t_exec = 1.0;
-      params.set("t_req", 1.0).set("t_fwd", 1.0);
-    } else if (a == "--param") {
-      const std::string kv = value("--param");
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) usage_error("--param expects key=value");
-      try {
-        params.set(kv.substr(0, eq), std::stod(kv.substr(eq + 1)));
-      } catch (const std::exception&) {
-        params.set(kv.substr(0, eq), kv.substr(eq + 1));
+  try {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      auto value = [&](const char* flag) {
+        if (i + 1 >= args.size()) {
+          usage_error(std::string("missing value for ") + flag);
+        }
+        return args[++i];
+      };
+      const std::string& a = args[i];
+      if (a == "--algo") {
+        algo = value("--algo");
+      } else if (a == "--n") {
+        n = static_cast<std::size_t>(harness::parse_u64(a, value("--n")));
+      } else if (a == "--t-msg") {
+        t_msg = harness::parse_double(a, value("--t-msg"));
+      } else if (a == "--t-exec") {
+        t_exec = harness::parse_double(a, value("--t-exec"));
+      } else if (a == "--unit-times") {
+        t_msg = t_exec = 1.0;
+        params.set("t_req", 1.0).set("t_fwd", 1.0);
+      } else if (a == "--param") {
+        harness::parse_param(a, value("--param"), params);
+      } else if (a == "--submit") {
+        actions.push_back(parse_action(Action::kSubmit, a, value(a.c_str())));
+      } else if (a == "--crash") {
+        actions.push_back(parse_action(Action::kCrash, a, value(a.c_str())));
+      } else if (a == "--restart") {
+        actions.push_back(parse_action(Action::kRestart, a, value(a.c_str())));
+      } else if (a == "--drop") {
+        drops.push_back(value("--drop"));
+      } else if (a == "--until") {
+        until = harness::parse_double(a, value("--until"));
+      } else if (a == "--trace-out") {
+        trace_out = value("--trace-out");
+      } else if (a == "--trace-format") {
+        trace_format = value("--trace-format");
+        if (trace_format != "jsonl" && trace_format != "chrome" &&
+            trace_format != "text") {
+          usage_error("--trace-format expects jsonl, chrome or text");
+        }
+      } else if (a == "--help" || a == "-h") {
+        usage_error("help");
+      } else {
+        usage_error("unknown flag " + a);
       }
-    } else if (a == "--submit") {
-      actions.push_back(parse_action(Action::kSubmit, value("--submit")));
-    } else if (a == "--crash") {
-      actions.push_back(parse_action(Action::kCrash, value("--crash")));
-    } else if (a == "--restart") {
-      actions.push_back(parse_action(Action::kRestart, value("--restart")));
-    } else if (a == "--drop") {
-      drops.push_back(value("--drop"));
-    } else if (a == "--until") {
-      until = std::stod(value("--until"));
-    } else if (a == "--trace-out") {
-      trace_out = value("--trace-out");
-    } else if (a == "--trace-format") {
-      trace_format = value("--trace-format");
-      if (trace_format != "jsonl" && trace_format != "chrome" &&
-          trace_format != "text") {
-        usage_error("--trace-format expects jsonl, chrome or text");
-      }
-    } else if (a == "--help" || a == "-h") {
-      usage_error("help");
-    } else {
-      usage_error("unknown flag " + a);
     }
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what());
   }
   if (actions.empty()) usage_error("no --submit actions given");
 
@@ -174,7 +172,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < n; ++i) {
     const net::NodeId nid{static_cast<std::int32_t>(i)};
     mutex::FactoryContext ctx{nid, n, params};
-    auto algorithm = mutex::Registry::instance().create(algo, ctx);
+    std::unique_ptr<mutex::MutexAlgorithm> algorithm;
+    try {
+      algorithm = mutex::Registry::instance().create(algo, ctx);
+    } catch (const std::invalid_argument& e) {
+      usage_error(e.what());  // an out-of-range or malformed --param
+    }
     auto* raw = algorithm.get();
     cluster.install(nid, std::move(algorithm));
     drivers.push_back(std::make_unique<mutex::CsDriver>(
