@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "harness/cli.hpp"
 #include "verify/choice.hpp"
 #include "verify/world.hpp"
 
@@ -124,15 +125,10 @@ Counterexample Counterexample::parse(std::string_view text) {
       if (sep == std::string::npos) {
         throw std::invalid_argument("dmx.cex: param needs key value: " + line);
       }
-      // As on the command line: a number if it parses as one (e.g. tau),
-      // a name otherwise (e.g. order).
-      const std::string key = rest.substr(0, sep);
-      const std::string value = rest.substr(sep + 1);
-      try {
-        cex.config.params.set(key, parse_double(value, line));
-      } catch (const std::invalid_argument&) {
-        cex.config.params.set(key, value);
-      }
+      // The --param rule: a number if it parses as one, a name otherwise.
+      harness::parse_param(
+          "param", rest.substr(0, sep) + "=" + rest.substr(sep + 1),
+          cex.config.params);
     } else if (kw == "fault") {
       cex.config.fault_plan = rest;
     } else if (kw == "violation") {
