@@ -14,9 +14,12 @@
 #    loss + recovery for both variants, the reliable transport, a
 #    crash/restart campaign, a partition with and without the quorum guard,
 #    and a 64-resource lock service;
-#  - the three README dmx_trace scenarios;
+#  - the three README dmx_trace scenarios, and a crash + restart trace with
+#    its JSONL trace file;
 #  - the starvation-free dmx_verify worlds;
-#  - scripts/verify_smoke.sh (temporary paths normalised).
+#  - scripts/verify_smoke.sh (temporary paths normalised);
+#  - the six example programs and bench/table_fairness (small request
+#    budget), stdout and exit code.
 #
 # Exits 0 when every output matches, 1 otherwise (listing the differences).
 set -u
@@ -81,6 +84,9 @@ run_all() {
     > "$OUT/trace_token_loss.txt" 2>&1
   "$trace" --n 5 --param recovery=1 --submit 1:0 --crash 1:0.35 \
     > "$OUT/trace_crash.txt" 2>&1
+  "$trace" --n 5 --param recovery=1 --submit 1:0 --submit 2:0.2 \
+    --crash 1:0.35 --restart 1:8 --submit 1:9 --until 60 \
+    --trace-out "$OUT/trace_restart.jsonl" > "$OUT/trace_restart.txt" 2>&1
 
   local verify="$BUILD/tools/dmx_verify"
   "$verify" --algo arbiter-tp-sf --n 3 --param tau=1 \
@@ -90,6 +96,16 @@ run_all() {
 
   "$HERE/verify_smoke.sh" "$verify" 2>&1 |
     sed -E 's#/tmp/tmp\.[A-Za-z0-9]+#<tmp>#g' > "$OUT/verify_smoke.txt"
+
+  local example
+  for example in quickstart algorithm_tour replicated_counter \
+                 priority_scheduling failure_recovery_demo sharded_locks; do
+    "$BUILD/examples/$example" > "$OUT/example_$example.txt" 2>&1
+    echo "exit $?" >> "$OUT/example_$example.txt"
+  done
+  DMX_BENCH_REQUESTS=2000 DMX_BENCH_REPLICATIONS=1 \
+    "$BUILD/bench/table_fairness" > "$OUT/table_fairness.txt" 2>&1
+  echo "exit $?" >> "$OUT/table_fairness.txt"
 }
 
 echo "identity check: running the scenario set on $OLD"

@@ -71,6 +71,29 @@ std::pair<std::string, std::string> split_kv(const std::string& flag,
   return {value.substr(0, eq), value.substr(eq + 1)};
 }
 
+/// Flags of the single-CS sweep that the lock-service scenario has no use
+/// for.  Each one set away from its default is reported instead of being
+/// silently dropped.
+std::vector<std::string> lock_service_ignored_flags(const CliOptions& o) {
+  const CliOptions defaults;
+  std::vector<std::string> out;
+  if (o.algorithm != defaults.algorithm) {
+    out.emplace_back("--algo (shards take --shard-algo)");
+  }
+  if (o.lambdas.size() > 1) out.emplace_back("--lambda (a second entry)");
+  if (o.seeds != defaults.seeds) out.emplace_back("--seeds");
+  if (o.delay_kind != defaults.delay_kind) out.emplace_back("--delay");
+  if (o.jitter != defaults.jitter) out.emplace_back("--jitter");
+  if (!o.loss_by_type.empty()) out.emplace_back("--loss");
+  if (!o.fault_plan.empty()) out.emplace_back("--fault");
+  if (o.transport != defaults.transport) out.emplace_back("--transport");
+  if (o.stall_threshold != defaults.stall_threshold) {
+    out.emplace_back("--stall");
+  }
+  if (o.max_events != defaults.max_events) out.emplace_back("--max-events");
+  return out;
+}
+
 /// The sharded lock-service branch of run_cli (--resources > 1): one
 /// scenario run instead of a lambda×seed sweep.  --requests is the
 /// aggregate demand, Zipf-split per shard; the table reports per-shard
@@ -370,12 +393,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--trace-out") {
       o.trace_out = need_value(i++, a);
     } else if (a == "--trace-format") {
-      const std::string v = need_value(i++, a);
-      if (v != "jsonl" && v != "chrome" && v != "text") {
-        throw std::invalid_argument("unknown --trace-format: " + v +
-                                    " (expected jsonl, chrome, or text)");
-      }
-      o.trace_format = v;
+      o.trace_format = obs::parse_trace_format(need_value(i++, a));
     } else if (a == "--emit-json") {
       o.emit_json = need_value(i++, a);
     } else {
@@ -397,6 +415,16 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     }
     return 0;
   }
+  if (opts.n_resources > 1) {
+    const std::vector<std::string> ignored = lock_service_ignored_flags(opts);
+    if (!ignored.empty()) {
+      os << "invalid configuration:\n";
+      for (const std::string& flag : ignored) {
+        os << "  - " << flag << " does not apply with --resources > 1\n";
+      }
+      return 2;
+    }
+  }
   // File streams must outlive the sinks writing to them: the Chrome-trace
   // sink closes its JSON envelope in its destructor, so trace_file is
   // declared first and destroyed last.
@@ -408,10 +436,7 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
       os << "cannot open --trace-out file '" << opts.trace_out << "'\n";
       return 2;
     }
-    obs::TraceFormat fmt = obs::TraceFormat::kJsonl;
-    if (opts.trace_format == "chrome") fmt = obs::TraceFormat::kChrome;
-    if (opts.trace_format == "text") fmt = obs::TraceFormat::kText;
-    trace_sink = obs::make_format_sink(fmt, trace_file);
+    trace_sink = obs::make_format_sink(opts.trace_format, trace_file);
   }
 
   if (opts.n_resources > 1) {
@@ -461,15 +486,14 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     for (const auto& [type, p] : opts.loss_by_type) {
       cfg.loss_by_type[type] = p;
     }
-    if (first_run) {
-      // Surface every configuration problem (unknown algorithm, malformed
-      // fault plan, bad loss spec, ...) before committing to a sweep.
-      const std::vector<std::string> errors = cfg.validate();
-      if (!errors.empty()) {
-        os << "invalid configuration:\n";
-        for (const std::string& e : errors) os << "  - " << e << "\n";
-        return 2;
-      }
+    // Surface every configuration problem (unknown algorithm, malformed
+    // fault plan, bad loss spec, a NaN rate, ...) before committing to a
+    // sweep.
+    if (const std::vector<std::string> errors = cfg.validate();
+        !errors.empty()) {
+      os << "invalid configuration:\n";
+      for (const std::string& e : errors) os << "  - " << e << "\n";
+      return 2;
     }
     for (std::size_t s = 0; s < opts.seeds; ++s) {
       ExperimentConfig run_cfg = cfg;

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "obs/sinks.hpp"
 
 namespace dmx::harness {
 
@@ -82,7 +83,7 @@ struct CliOptions {
   /// empty = no trace.  Format: "jsonl", "chrome" (Perfetto-loadable), or
   /// "text" (the human-readable dmx_trace format).
   std::string trace_out;
-  std::string trace_format = "jsonl";
+  obs::TraceFormat trace_format = obs::TraceFormat::kJsonl;
   /// Run manifest (dmx.run.v1 JSON, every run of the sweep) output path;
   /// empty = no manifest.  Implies span collection on every run so the
   /// manifest carries the per-phase latency decomposition.

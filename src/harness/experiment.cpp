@@ -1,5 +1,6 @@
 #include "harness/experiment.hpp"
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -7,14 +8,12 @@
 #include "fault/campaign.hpp"
 #include "fault/fault_plan.hpp"
 #include "harness/parallel.hpp"
-#include "mutex/cs_driver.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/progress_monitor.hpp"
 #include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
 #include "net/delay_model.hpp"
 #include "net/msg_kind.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/cluster.hpp"
 #include "stats/recovery_metrics.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/generator.hpp"
@@ -48,10 +47,20 @@ double auto_sim_bound(const ExperimentConfig& cfg) {
   return 10.0 * (gen_time + serve_time) + 1000.0;
 }
 
+// NaN and infinities fail every range check here: a NaN rate or delay
+// would otherwise slip past `<` / `<=` and break the run midway.
 void check_positive(std::vector<std::string>& errors, const char* what,
                     double v) {
-  if (v <= 0.0) {
-    errors.push_back(std::string(what) + " must be positive, got " +
+  if (!(std::isfinite(v) && v > 0.0)) {
+    errors.push_back(std::string(what) + " must be positive and finite, got " +
+                     std::to_string(v));
+  }
+}
+
+void check_non_negative(std::vector<std::string>& errors, const char* what,
+                        double v) {
+  if (!(std::isfinite(v) && v >= 0.0)) {
+    errors.push_back(std::string(what) + " must be finite and >= 0, got " +
                      std::to_string(v));
   }
 }
@@ -105,13 +114,11 @@ std::vector<std::string> ExperimentConfig::validate() const {
   if (total_requests == 0) {
     errors.emplace_back("total_requests must be at least 1");
   }
-  if (max_sim_units < 0.0) {
-    errors.push_back("max_sim_units must be >= 0 (0 = auto), got " +
-                     std::to_string(max_sim_units));
-  }
-  if (delay_jitter < 0.0) {
-    errors.push_back("delay_jitter must be >= 0, got " +
-                     std::to_string(delay_jitter));
+  check_non_negative(errors, "max_sim_units (0 = auto)", max_sim_units);
+  check_non_negative(errors, "delay_jitter", delay_jitter);
+  if (!std::isfinite(stall_threshold)) {
+    errors.push_back("stall_threshold must be finite (< 0 = off, 0 = auto), "
+                     "got " + std::to_string(stall_threshold));
   }
   if (delay_kind != DelayKind::kConstant && delay_jitter <= 0.0) {
     errors.emplace_back(
@@ -125,7 +132,7 @@ std::vector<std::string> ExperimentConfig::validate() const {
       errors.push_back("loss_by_type names unregistered message type \"" +
                        type + "\"");
     }
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {
       errors.push_back("loss probability for \"" + type +
                        "\" must be in [0, 1], got " + std::to_string(p));
     }
@@ -138,9 +145,7 @@ std::vector<std::string> ExperimentConfig::validate() const {
     }
   }
   if (n_resources == 0) errors.emplace_back("n_resources must be at least 1");
-  if (zipf_s < 0.0) {
-    errors.push_back("zipf_s must be >= 0, got " + std::to_string(zipf_s));
-  }
+  check_non_negative(errors, "zipf_s", zipf_s);
   if (n_resources > 1) {
     if (!mutex::Registry::instance().contains(shard_algo_hot)) {
       errors.push_back("unknown hot shard algorithm \"" + shard_algo_hot +
@@ -152,16 +157,6 @@ std::vector<std::string> ExperimentConfig::validate() const {
     }
   }
   return errors;
-}
-
-ExperimentConfig ExperimentConfigBuilder::build() const {
-  const std::vector<std::string> errors = cfg_.validate();
-  if (!errors.empty()) {
-    std::string joined = "invalid experiment config:";
-    for (const std::string& e : errors) joined += "\n  - " + e;
-    throw std::invalid_argument(joined);
-  }
-  return cfg_;
 }
 
 stats::CounterMap ExperimentResult::messages_by_type() const {
@@ -190,8 +185,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   const obs::Tracer tracer =
       sink ? obs::Tracer(sink) : obs::Tracer();
 
-  runtime::Cluster cluster(cfg.n_nodes, make_delay(cfg), cfg.seed ^ 0x5eedULL,
-                           tracer);
+  std::optional<net::ReliableTransportConfig> reliable;
   if (cfg.transport == TransportKind::kReliable) {
     auto tc = net::ReliableTransportConfig::scaled_to(
         sim::SimTime::units(cfg.t_msg));
@@ -205,26 +199,17 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     tc.jitter_frac = cfg.params.get_num("rto_jitter", tc.jitter_frac);
     tc.max_retries = static_cast<int>(
         cfg.params.get_num("max_retries", tc.max_retries));
-    cluster.use_reliable_transport(tc);
+    reliable = tc;
   }
+  mutex::MutexCluster nodes(cfg.algorithm, cfg.n_nodes, cfg.params,
+                            cfg.t_exec, cfg.seed ^ 0x5eedULL,
+                            make_delay(cfg),
+                            {.tracer = tracer, .reliable = reliable});
+  runtime::Cluster& cluster = nodes.cluster();
   for (const auto& [type, p] : cfg.loss_by_type) {
     cluster.network().faults().set_loss_probability(type, p);
   }
 
-  auto& registry = mutex::Registry::instance();
-  std::vector<mutex::MutexAlgorithm*> algos(cfg.n_nodes);
-  for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-    const net::NodeId nid{static_cast<std::int32_t>(i)};
-    mutex::FactoryContext ctx{nid, cfg.n_nodes, cfg.params};
-    auto algo = registry.create(cfg.algorithm, ctx);
-    algos[i] = algo.get();
-    cluster.install(nid, std::move(algo));
-  }
-
-  mutex::SafetyMonitor monitor;
-  mutex::RequestIdSource ids;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  drivers.reserve(cfg.n_nodes);
   // Service-time distribution for percentile reporting.  The range covers
   // saturation-level waits (~N * (t_msg + t_exec)) with margin; overflow is
   // clamped to the top edge by Histogram::quantile.
@@ -233,11 +218,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       4'096);
   stats::RecoveryMetrics recovery;
   for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *algos[i], sim::SimTime::units(cfg.t_exec),
-        &monitor, &ids));
-    drivers.back()->set_tracer(tracer);
-    drivers.back()->set_completion_callback(
+    nodes.driver(i).set_completion_callback(
         [&service_hist, &cluster, &recovery](const mutex::CsRequest& req) {
           const double now = cluster.simulator().now().to_units();
           service_hist.add(now - req.issued_at.to_units());
@@ -250,9 +231,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   std::optional<fault::CampaignRunner> campaign;
   if (!cfg.fault_plan.empty()) {
     campaign.emplace(cluster, fault::FaultPlan::parse(cfg.fault_plan));
-    campaign->set_crash_hook([&drivers](net::NodeId id) {
-      drivers[id.index()]->on_node_crashed();
-    });
     campaign->set_observer(
         [&recovery](sim::SimTime t, const fault::FaultAction& a) {
           if (a.disruptive()) recovery.on_fault(t.to_units(), a.describe());
@@ -272,21 +250,21 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
                                                  : auto_stall_threshold(cfg));
     progress.emplace(cluster.simulator(), pm);
     for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-      progress->watch(drivers[i].get(), algos[i]);
+      progress->watch(&nodes.driver(i), &nodes.algorithm(i));
     }
   }
 
   std::vector<mutex::CsDriver*> driver_ptrs;
   std::vector<std::unique_ptr<workload::ArrivalProcess>> arrivals;
-  for (auto& d : drivers) {
-    driver_ptrs.push_back(d.get());
+  for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
+    driver_ptrs.push_back(&nodes.driver(i));
     arrivals.push_back(std::make_unique<workload::PoissonArrivals>(cfg.lambda));
   }
   workload::OpenLoopGenerator gen(cluster.simulator(), std::move(driver_ptrs),
                                   std::move(arrivals), cfg.total_requests,
                                   cfg.seed);
 
-  cluster.start();
+  nodes.start();
   gen.start();
   if (campaign) campaign->start();
   if (progress) progress->start();
@@ -306,7 +284,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // aborted mid-flight plus demand that arrived while the node was down
   // (the generator counts it; the driver of a dead node swallows it).
   std::uint64_t live_demand = 0;
-  for (const auto& d : drivers) {
+  for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
+    const mutex::CsDriver* d = &nodes.driver(i);
     r.completed += d->completed();
     r.aborted_by_crash += d->aborted_by_crash();
     live_demand += d->submitted() - d->aborted_by_crash();
@@ -344,15 +323,15 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
         " events still pending (runaway schedule?)\n";
     for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
       r.event_limit_diagnosis += "  node " + std::to_string(i) + ": " +
-                                 (algos[i]->crashed()
+                                 (nodes.algorithm(i).crashed()
                                       ? std::string("CRASHED")
-                                      : algos[i]->debug_state()) +
+                                      : nodes.algorithm(i).debug_state()) +
                                  "\n";
     }
   }
 
   // Unified structured reports: safety first, then liveness, then backstop.
-  r.violation_reports = monitor.reports();
+  r.violation_reports = nodes.monitor().reports();
   if (progress && progress->violation()) {
     r.violation_reports.push_back(*progress->violation());
   }
@@ -383,7 +362,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   r.service_p99 = service_hist.quantile(0.99);
 
   for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-    if (auto* arb = dynamic_cast<core::ArbiterMutex*>(algos[i])) {
+    if (auto* arb = dynamic_cast<core::ArbiterMutex*>(&nodes.algorithm(i))) {
       r.protocol.merge(arb->protocol_stats());
       r.arbiter_terms_per_node.push_back(arb->times_arbiter());
     }
@@ -407,8 +386,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (sink) sink->flush();
 
   r.transport = cluster.transport_stats();
-  r.safety_violations = monitor.violations();
-  r.max_occupancy = monitor.max_occupancy();
+  r.safety_violations = nodes.monitor().violations();
+  r.max_occupancy = nodes.monitor().max_occupancy();
   r.sim_duration_units = cluster.simulator().now().to_units();
   r.sim_events = cluster.simulator().events_executed();
   return r;

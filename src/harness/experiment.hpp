@@ -116,108 +116,6 @@ struct ExperimentConfig {
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
-/// Fluent construction with fail-fast validation: build() runs
-/// ExperimentConfig::validate() and throws std::invalid_argument listing
-/// every problem.  Plain aggregate initialization of ExperimentConfig keeps
-/// working; the builder is for call sites assembling a config from user
-/// input (CLI flags, sweep scripts) that want errors surfaced immediately.
-class ExperimentConfigBuilder {
- public:
-  ExperimentConfigBuilder& algorithm(std::string name) {
-    cfg_.algorithm = std::move(name);
-    return *this;
-  }
-  ExperimentConfigBuilder& nodes(std::size_t n) {
-    cfg_.n_nodes = n;
-    return *this;
-  }
-  ExperimentConfigBuilder& lambda(double rate) {
-    cfg_.lambda = rate;
-    return *this;
-  }
-  ExperimentConfigBuilder& t_msg(double units) {
-    cfg_.t_msg = units;
-    return *this;
-  }
-  ExperimentConfigBuilder& t_exec(double units) {
-    cfg_.t_exec = units;
-    return *this;
-  }
-  ExperimentConfigBuilder& total_requests(std::uint64_t n) {
-    cfg_.total_requests = n;
-    return *this;
-  }
-  ExperimentConfigBuilder& seed(std::uint64_t s) {
-    cfg_.seed = s;
-    return *this;
-  }
-  ExperimentConfigBuilder& param(const std::string& key, double value) {
-    cfg_.params.set(key, value);
-    return *this;
-  }
-  ExperimentConfigBuilder& param(const std::string& key,
-                                 const std::string& value) {
-    cfg_.params.set(key, value);
-    return *this;
-  }
-  ExperimentConfigBuilder& delay(DelayKind kind, double jitter = 0.0) {
-    cfg_.delay_kind = kind;
-    cfg_.delay_jitter = jitter;
-    return *this;
-  }
-  ExperimentConfigBuilder& loss(const std::string& msg_type, double p) {
-    cfg_.loss_by_type[msg_type] = p;
-    return *this;
-  }
-  ExperimentConfigBuilder& fault_plan(std::string plan) {
-    cfg_.fault_plan = std::move(plan);
-    return *this;
-  }
-  ExperimentConfigBuilder& stall_threshold(double units) {
-    cfg_.stall_threshold = units;
-    return *this;
-  }
-  ExperimentConfigBuilder& max_events(std::uint64_t n) {
-    cfg_.max_events = n;
-    return *this;
-  }
-  ExperimentConfigBuilder& transport(TransportKind kind) {
-    cfg_.transport = kind;
-    return *this;
-  }
-  ExperimentConfigBuilder& trace_sink(std::shared_ptr<obs::Sink> sink) {
-    cfg_.trace_sink = std::move(sink);
-    return *this;
-  }
-  ExperimentConfigBuilder& collect_spans(bool on = true) {
-    cfg_.collect_spans = on;
-    return *this;
-  }
-  ExperimentConfigBuilder& jobs(std::size_t n) {
-    cfg_.jobs = n;
-    return *this;
-  }
-  ExperimentConfigBuilder& resources(std::size_t n) {
-    cfg_.n_resources = n;
-    return *this;
-  }
-  ExperimentConfigBuilder& zipf_s(double s) {
-    cfg_.zipf_s = s;
-    return *this;
-  }
-  ExperimentConfigBuilder& shard_algorithms(std::string hot, std::string cold) {
-    cfg_.shard_algo_hot = std::move(hot);
-    cfg_.shard_algo_cold = std::move(cold);
-    return *this;
-  }
-
-  /// Throws std::invalid_argument joining every validation error.
-  [[nodiscard]] ExperimentConfig build() const;
-
- private:
-  ExperimentConfig cfg_;
-};
-
 struct ExperimentResult {
   std::string algorithm;
   double lambda = 0.0;

@@ -1,5 +1,6 @@
 #include "harness/lock_service.hpp"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -112,14 +113,25 @@ std::vector<std::string> LockServiceConfig::validate() const {
   std::vector<std::string> errors;
   auto& registry = mutex::Registry::instance();
   if (n_resources == 0) errors.push_back("n_resources must be > 0");
-  if (zipf_s < 0.0) errors.push_back("zipf_s must be >= 0");
+  // Written so NaN fails too: a NaN skew or delay passes `<` comparisons.
+  if (!(std::isfinite(zipf_s) && zipf_s >= 0.0)) {
+    errors.push_back("zipf_s must be finite and >= 0");
+  }
   if (total_demands == 0) errors.push_back("total_demands must be > 0");
   if (hot_nodes == 0) errors.push_back("hot_nodes must be > 0");
   if (cold_nodes == 0) errors.push_back("cold_nodes must be > 0");
-  if (t_msg < 0.0) errors.push_back("t_msg must be >= 0");
-  if (t_exec < 0.0) errors.push_back("t_exec must be >= 0");
-  if (think_mean <= 0.0) errors.push_back("think_mean must be > 0");
-  if (span_hist_max <= 0.0) errors.push_back("span_hist_max must be > 0");
+  if (!(std::isfinite(t_msg) && t_msg >= 0.0)) {
+    errors.push_back("t_msg must be finite and >= 0");
+  }
+  if (!(std::isfinite(t_exec) && t_exec >= 0.0)) {
+    errors.push_back("t_exec must be finite and >= 0");
+  }
+  if (!(std::isfinite(think_mean) && think_mean > 0.0)) {
+    errors.push_back("think_mean must be finite and > 0");
+  }
+  if (!(std::isfinite(span_hist_max) && span_hist_max > 0.0)) {
+    errors.push_back("span_hist_max must be finite and > 0");
+  }
   if (!registry.contains(hot_algorithm)) {
     errors.push_back("hot algorithm not registered: " + hot_algorithm);
   }

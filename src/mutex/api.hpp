@@ -84,9 +84,14 @@ struct CsRequest {
 class MutexAlgorithm : public runtime::Process {
  public:
   using GrantCallback = std::function<void(const CsRequest&)>;
+  using CrashCallback = std::function<void()>;
 
   /// The driver installs its grant callback before the cluster starts.
   void set_grant_callback(GrantCallback cb) { grant_cb_ = std::move(cb); }
+
+  /// ...and its crash callback: the demand of a crashed node is void, so
+  /// the driver aborts it the moment the node crashes.
+  void set_crash_callback(CrashCallback cb) { crash_cb_ = std::move(cb); }
 
   /// Ask for the critical section on behalf of this node.
   virtual void request(const CsRequest& req) = 0;
@@ -132,8 +137,14 @@ class MutexAlgorithm : public runtime::Process {
     if (grant_cb_) grant_cb_(req);
   }
 
+  /// Final, so no algorithm can keep a crashed node's demand alive.
+  void on_crash() final {
+    if (crash_cb_) crash_cb_();
+  }
+
  private:
   GrantCallback grant_cb_;
+  CrashCallback crash_cb_;
 };
 
 }  // namespace dmx::mutex

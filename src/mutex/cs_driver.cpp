@@ -12,6 +12,7 @@ CsDriver::CsDriver(sim::Simulator& sim, MutexAlgorithm& algo,
     throw std::invalid_argument("CsDriver: null request id source");
   }
   algo_.set_grant_callback([this](const CsRequest& r) { on_grant(r); });
+  algo_.set_crash_callback([this] { on_node_crashed(); });
 }
 
 void CsDriver::submit(int priority) {

@@ -5,7 +5,8 @@
 // algorithm (surplus demand queues locally, FIFO), holds the critical
 // section for t_exec once granted, then releases.  It reports entries and
 // exits to the global SafetyMonitor and accumulates the per-CS delay
-// metrics the paper plots.
+// metrics the paper plots.  When its node crashes, the driver aborts the
+// node's demand by itself.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,7 @@ class CsDriver {
   /// New critical-section demand arrives (from the workload generator).
   void submit(int priority = 0);
 
-  /// The harness must call this when it crashes the node: the in-progress
-  /// or queued demand of a dead node is void.
-  void on_node_crashed();
+  [[nodiscard]] MutexAlgorithm& algorithm() const { return algo_; }
 
   // --- metrics ------------------------------------------------------------
   [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
@@ -84,6 +83,9 @@ class CsDriver {
   void issue(sim::SimTime submitted_at, int priority);
   void on_grant(const CsRequest& req);
   void finish();
+  /// The algorithm's crash callback: the in-progress or queued demand of a
+  /// dead node is void.
+  void on_node_crashed();
 
   void emit(obs::EventKind kind, std::uint64_t req, std::int64_t arg = 0,
             double value = 0.0) const {

@@ -1,5 +1,6 @@
 #include "mutex/lock_space.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -27,9 +28,16 @@ std::vector<std::string> LockSpaceSpec::validate() const {
   auto& registry = Registry::instance();
   if (n_nodes == 0) errors.push_back("n_nodes must be > 0");
   if (n_resources == 0) errors.push_back("n_resources must be > 0");
-  if (t_msg < 0.0) errors.push_back("t_msg must be >= 0");
-  if (t_exec < 0.0) errors.push_back("t_exec must be >= 0");
-  if (span_hist_max <= 0.0) errors.push_back("span_hist_max must be > 0");
+  // Written so NaN fails too: it passes every `<` comparison.
+  if (!(std::isfinite(t_msg) && t_msg >= 0.0)) {
+    errors.push_back("t_msg must be finite and >= 0");
+  }
+  if (!(std::isfinite(t_exec) && t_exec >= 0.0)) {
+    errors.push_back("t_exec must be finite and >= 0");
+  }
+  if (!(std::isfinite(span_hist_max) && span_hist_max > 0.0)) {
+    errors.push_back("span_hist_max must be finite and > 0");
+  }
   if (!registry.contains(algorithm)) {
     errors.push_back(
         "algorithm not registered (call "
@@ -89,16 +97,11 @@ LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
   const auto errors = spec_.validate();
   if (!errors.empty()) throw std::invalid_argument(join_errors(errors));
 
-  auto& registry = Registry::instance();
-  clusters_.reserve(spec_.n_resources);
-  drivers_.resize(spec_.n_resources);
+  shards_.reserve(spec_.n_resources);
   pending_.resize(spec_.n_resources);
   span_collectors_.resize(spec_.n_resources);
   for (std::size_t r = 0; r < spec_.n_resources; ++r) {
     const std::size_t n = spec_.nodes_for(r);
-    const std::string& algo_name = spec_.algorithm_for(r);
-    const ParamSet params = spec_.params_for(r);
-
     obs::Tracer tracer;
     if (spec_.collect_spans) {
       span_collectors_[r] = std::make_shared<obs::SpanCollector>(
@@ -107,39 +110,30 @@ LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
     } else if (spec_.trace_sink) {
       tracer = obs::Tracer(spec_.trace_sink);
     }
-
-    clusters_.push_back(std::make_unique<runtime::Cluster>(
-        sim_, n,
+    shards_.push_back(std::make_unique<MutexCluster>(
+        spec_.algorithm_for(r), n, spec_.params_for(r), spec_.t_exec,
+        spec_.seed * 7919 + r,
         std::make_unique<net::ConstantDelay>(sim::SimTime::units(spec_.t_msg)),
-        spec_.seed * 7919 + r, tracer));
-    monitors_.push_back(std::make_unique<SafetyMonitor>());
+        MutexClusterOptions{
+            .tracer = tracer, .simulator = &sim_, .ids = &ids_}));
     pending_[r].resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId nid{static_cast<std::int32_t>(i)};
-      FactoryContext ctx{nid, n, params};
-      auto algo = registry.create(algo_name, ctx);
-      auto* algo_raw = algo.get();
-      clusters_[r]->install(nid, std::move(algo));
-      auto driver = std::make_unique<CsDriver>(
-          sim_, *dynamic_cast<MutexAlgorithm*>(algo_raw),
-          sim::SimTime::units(spec_.t_exec), monitors_[r].get(), &ids_);
-      driver->set_tracer(tracer);
-      driver->set_grant_callback([this, r, i](const CsRequest&) {
+      CsDriver& driver = shards_[r]->driver(i);
+      driver.set_grant_callback([this, r, i](const CsRequest&) {
         on_driver_granted(r, i);
       });
-      driver->set_completion_callback([this, r, i](const CsRequest&) {
+      driver.set_completion_callback([this, r, i](const CsRequest&) {
         on_driver_released(r, i);
       });
-      drivers_[r].push_back(std::move(driver));
     }
-    clusters_[r]->start();
+    shards_[r]->start();
   }
   if (spec_.batch_size > 0) batch_buffer_.reserve(spec_.batch_size);
 }
 
 LockRequestId LockSpace::acquire(std::size_t node, std::size_t resource,
                                  int priority) {
-  if (resource >= spec_.n_resources || node >= drivers_[resource].size()) {
+  if (resource >= spec_.n_resources || node >= shards_[resource]->size()) {
     throw std::out_of_range("LockSpace::acquire: bad node or resource");
   }
   const LockRequestId ticket{next_ticket_++};
@@ -184,7 +178,7 @@ void LockSpace::flush() {
 }
 
 void LockSpace::submit_now(const LockDemand& d) {
-  drivers_[d.resource][d.node]->submit(d.priority);
+  shards_[d.resource]->driver(d.node).submit(d.priority);
 }
 
 void LockSpace::on_driver_granted(std::size_t resource, std::size_t node) {
@@ -207,53 +201,53 @@ void LockSpace::on_driver_released(std::size_t resource, std::size_t node) {
 
 std::uint64_t LockSpace::safety_violations() const {
   std::uint64_t v = 0;
-  for (const auto& m : monitors_) v += m->violations();
+  for (const auto& shard : shards_) v += shard->monitor().violations();
   return v;
 }
 
 std::uint64_t LockSpace::total_completed() const {
   std::uint64_t c = 0;
-  for (const auto& per_resource : drivers_) {
-    for (const auto& d : per_resource) c += d->completed();
-  }
+  for (const auto& shard : shards_) c += shard->total_completed();
   return c;
 }
 
 std::uint64_t LockSpace::total_submitted() const {
   std::uint64_t c = batch_buffer_.size();  // ticketed, not yet flushed
-  for (const auto& per_resource : drivers_) {
-    for (const auto& d : per_resource) c += d->submitted();
-  }
+  for (const auto& shard : shards_) c += shard->total_submitted();
   return c;
 }
 
 std::uint64_t LockSpace::completed(std::size_t resource) const {
-  std::uint64_t c = 0;
-  for (const auto& d : drivers_[resource]) c += d->completed();
-  return c;
+  return shards_[resource]->total_completed();
 }
 
 std::uint64_t LockSpace::messages(std::size_t resource) const {
-  return clusters_[resource]->network().stats().sent;
+  return shards_[resource]->network().stats().sent;
 }
 
 std::uint64_t LockSpace::total_messages() const {
   std::uint64_t m = 0;
-  for (const auto& c : clusters_) m += c->network().stats().sent;
+  for (const auto& shard : shards_) m += shard->network().stats().sent;
   return m;
 }
 
 stats::Welford LockSpace::sojourn(std::size_t resource) const {
   stats::Welford w;
-  for (const auto& d : drivers_[resource]) w.merge(d->sojourn_time());
+  const MutexCluster& shard = *shards_[resource];
+  for (std::size_t i = 0; i < shard.size(); ++i) {
+    w.merge(shard.driver(i).sojourn_time());
+  }
   return w;
 }
 
 std::vector<std::uint64_t> LockSpace::completions_per_node(
     std::size_t resource) const {
+  const MutexCluster& shard = *shards_[resource];
   std::vector<std::uint64_t> out;
-  out.reserve(drivers_[resource].size());
-  for (const auto& d : drivers_[resource]) out.push_back(d->completed());
+  out.reserve(shard.size());
+  for (std::size_t i = 0; i < shard.size(); ++i) {
+    out.push_back(shard.driver(i).completed());
+  }
   return out;
 }
 

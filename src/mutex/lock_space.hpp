@@ -8,7 +8,7 @@
 // studied.  Any registered algorithm works; resources are fully independent
 // (a grant on resource A never waits on resource B).
 //
-// The API is spec + builder (mirroring harness::ExperimentConfigBuilder):
+// The API is spec + builder:
 //
 //   auto space = mutex::LockSpaceBuilder()
 //                    .resources(1024).nodes(16)
@@ -37,12 +37,11 @@
 #include <vector>
 
 #include "mutex/api.hpp"
-#include "mutex/cs_driver.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/params.hpp"
 #include "mutex/safety_monitor.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
-#include "runtime/cluster.hpp"
 #include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 
@@ -104,9 +103,9 @@ struct LockDemand {
   int priority = 0;
 };
 
-/// Fluent construction with fail-fast validation, mirroring
-/// harness::ExperimentConfigBuilder: build() runs LockSpaceSpec::validate()
-/// and throws std::invalid_argument listing every problem.
+/// Fluent construction with fail-fast validation: build() runs
+/// LockSpaceSpec::validate() and throws std::invalid_argument listing every
+/// problem.
 class LockSpaceBuilder {
  public:
   LockSpaceBuilder& algorithm(std::string name) {
@@ -197,7 +196,7 @@ class LockSpace {
   /// Default node count; resources with a n_nodes override differ.
   [[nodiscard]] std::size_t nodes() const { return spec_.n_nodes; }
   [[nodiscard]] std::size_t nodes(std::size_t resource) const {
-    return drivers_[resource].size();
+    return shards_[resource]->size();
   }
   [[nodiscard]] std::size_t resources() const { return spec_.n_resources; }
   [[nodiscard]] const std::string& algorithm(std::size_t resource) const {
@@ -227,7 +226,7 @@ class LockSpace {
 
   /// Per-resource exclusivity monitor.
   [[nodiscard]] const SafetyMonitor& monitor(std::size_t resource) const {
-    return *monitors_[resource];
+    return shards_[resource]->monitor();
   }
   [[nodiscard]] std::uint64_t safety_violations() const;
 
@@ -264,12 +263,9 @@ class LockSpace {
 
   LockSpaceSpec spec_;
   sim::Simulator sim_;
-  std::vector<std::unique_ptr<runtime::Cluster>> clusters_;   // per resource
-  std::vector<std::unique_ptr<SafetyMonitor>> monitors_;      // per resource
-  std::vector<std::shared_ptr<obs::SpanCollector>> span_collectors_;
   RequestIdSource ids_;
-  // drivers_[resource][node]
-  std::vector<std::vector<std::unique_ptr<CsDriver>>> drivers_;
+  std::vector<std::unique_ptr<MutexCluster>> shards_;  // per resource
+  std::vector<std::shared_ptr<obs::SpanCollector>> span_collectors_;
   // FIFO ticket ledger per (resource, node): CsDriver queues demand FIFO
   // with at most one CS in flight, so the front ticket is always the one
   // being granted / released.  Popped on release.

@@ -1,6 +1,7 @@
 #include "obs/sinks.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/json.hpp"
 
@@ -245,6 +246,14 @@ void ChromeTraceSink::flush_buffer() {
 }
 
 // ---------------------------------------------------------------- factory
+
+TraceFormat parse_trace_format(std::string_view name) {
+  if (name == "jsonl") return TraceFormat::kJsonl;
+  if (name == "chrome") return TraceFormat::kChrome;
+  if (name == "text") return TraceFormat::kText;
+  throw std::invalid_argument("unknown --trace-format: " + std::string(name) +
+                              " (expected jsonl, chrome, or text)");
+}
 
 std::shared_ptr<Sink> make_format_sink(TraceFormat format, std::ostream& os) {
   switch (format) {

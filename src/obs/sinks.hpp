@@ -149,6 +149,10 @@ class TeeSink final : public Sink {
 /// Serialization format for --trace-out.
 enum class TraceFormat { kText, kJsonl, kChrome };
 
+/// The --trace-format value of every tool: "jsonl", "chrome" or "text".
+/// Throws std::invalid_argument naming the accepted values otherwise.
+TraceFormat parse_trace_format(std::string_view name);
+
 /// Build the file sink for a format.  The caller owns the stream and must
 /// keep it alive until the sink is destroyed (the Chrome sink writes its
 /// closing bracket from the destructor).

@@ -18,15 +18,13 @@ namespace dmx::runtime {
 /// manages their lifecycle (start / crash / restart).
 class Cluster {
  public:
+  /// A non-null `shared_sim` puts the cluster on an externally owned
+  /// simulator (several clusters on one virtual clock, e.g. one network per
+  /// lock resource in mutex::LockSpace), which must outlive it; null gives
+  /// the cluster its own.
   Cluster(std::size_t n_nodes, std::unique_ptr<net::DelayModel> delay,
-          std::uint64_t seed, obs::Tracer tracer = {});
-
-  /// Share an externally owned simulator (several clusters on one virtual
-  /// clock, e.g. one network per lock resource in mutex::LockSpace).  The
-  /// simulator must outlive the cluster.
-  Cluster(sim::Simulator& shared_sim, std::size_t n_nodes,
-          std::unique_ptr<net::DelayModel> delay, std::uint64_t seed,
-          obs::Tracer tracer = {});
+          std::uint64_t seed, obs::Tracer tracer = {},
+          sim::Simulator* shared_sim = nullptr);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;

@@ -1,5 +1,6 @@
 #include "verify/config.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "fault/fault_plan.hpp"
@@ -24,8 +25,13 @@ std::vector<std::string> VerifyConfig::validate() const {
   if (requests_per_node == 0) {
     errors.emplace_back("requests_per_node must be at least 1");
   }
-  if (t_msg <= 0.0) errors.emplace_back("t_msg must be positive");
-  if (t_exec <= 0.0) errors.emplace_back("t_exec must be positive");
+  // Written so NaN and infinities fail too.
+  if (!(std::isfinite(t_msg) && t_msg > 0.0)) {
+    errors.emplace_back("t_msg must be positive and finite");
+  }
+  if (!(std::isfinite(t_exec) && t_exec > 0.0)) {
+    errors.emplace_back("t_exec must be positive and finite");
+  }
   if (max_depth == 0) errors.emplace_back("max_depth must be at least 1");
   if (max_schedules == 0) {
     errors.emplace_back("max_schedules must be at least 1");

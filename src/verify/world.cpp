@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "mutex/registry.hpp"
 #include "net/delay_model.hpp"
 #include "obs/tracer.hpp"
 
@@ -25,53 +24,45 @@ std::string groups_key(const std::vector<std::vector<int>>& groups) {
   return out;
 }
 
+// Validates before anything is built; check() also populates the registry.
+const VerifyConfig& checked(const VerifyConfig& cfg) {
+  cfg.check();
+  return cfg;
+}
+
+std::optional<net::ReliableTransportConfig> transport_for(
+    const VerifyConfig& cfg) {
+  if (!cfg.reliable) return std::nullopt;
+  auto tc =
+      net::ReliableTransportConfig::scaled_to(sim::SimTime::units(cfg.t_msg));
+  tc.jitter_frac = 0.0;  // keep the timer schedule seed-free
+  return tc;
+}
+
 }  // namespace
 
 World::World(const VerifyConfig& cfg, std::shared_ptr<obs::Sink> sink)
-    : cfg_(cfg) {
-  cfg_.check();  // also populates the algorithm registry
-  cluster_ = std::make_unique<runtime::Cluster>(
-      cfg_.n_nodes,
-      std::make_unique<net::ConstantDelay>(sim::SimTime::units(cfg_.t_msg)),
-      /*seed=*/1, sink ? obs::Tracer(std::move(sink)) : obs::Tracer());
-  cluster_->network().set_tap([this](const net::Envelope& env, bool dropped) {
+    : cfg_(checked(cfg)),
+      nodes_(cfg_.algorithm, cfg_.n_nodes, cfg_.params, cfg_.t_exec,
+             /*seed=*/1,
+             std::make_unique<net::ConstantDelay>(
+                 sim::SimTime::units(cfg_.t_msg)),
+             {.tracer = sink ? obs::Tracer(std::move(sink)) : obs::Tracer(),
+              .reliable = transport_for(cfg_)}) {
+  nodes_.network().set_tap([this](const net::Envelope& env, bool dropped) {
     // Sends adjudicated dead on the spot (destination already down) never
     // become pending events, so only surviving transmissions need identity.
     if (!dropped) record_send(env);
   });
-  if (cfg_.reliable) {
-    auto tc = net::ReliableTransportConfig::scaled_to(
-        sim::SimTime::units(cfg_.t_msg));
-    tc.jitter_frac = 0.0;  // keep the timer schedule seed-free
-    cluster_->use_reliable_transport(tc);
-  }
   if (!cfg_.fault_plan.empty()) {
     actions_ = fault::FaultPlan::parse(cfg_.fault_plan).actions;
   }
   action_done_.assign(actions_.size(), 0);
-
-  algos_.reserve(cfg_.n_nodes);
-  drivers_.reserve(cfg_.n_nodes);
-  for (std::size_t i = 0; i < cfg_.n_nodes; ++i) {
-    const net::NodeId id{static_cast<std::int32_t>(i)};
-    std::unique_ptr<mutex::MutexAlgorithm> algo =
-        mutex::Registry::instance().create(
-            cfg_.algorithm,
-            mutex::FactoryContext{id, cfg_.n_nodes, cfg_.params});
-    mutex::MutexAlgorithm* raw = algo.get();
-    auto driver = std::make_unique<mutex::CsDriver>(
-        cluster_->simulator(), *raw, sim::SimTime::units(cfg_.t_exec),
-        &monitor_, &ids_);
-    driver->set_tracer(cluster_->tracer());
-    cluster_->install(id, std::move(algo));
-    algos_.push_back(raw);
-    drivers_.push_back(std::move(driver));
-  }
-  cluster_->start();
+  nodes_.start();
   // The whole closed-system demand, round-robin at t=0: surplus beyond one
   // outstanding request per node queues inside the drivers.
   for (std::uint64_t r = 0; r < cfg_.requests_per_node; ++r) {
-    for (auto& d : drivers_) d->submit();
+    for (std::size_t i = 0; i < nodes_.size(); ++i) nodes_.driver(i).submit();
   }
 }
 
@@ -86,7 +77,7 @@ void World::record_send(const net::Envelope& env) {
 }
 
 std::vector<Choice> World::enabled() {
-  cluster_->simulator().collect_pending(pending_);
+  nodes_.sim().collect_pending(pending_);
   std::vector<Choice> out;
   out.reserve(pending_.size() + actions_.size());
   const bool bounded = cfg_.time_slack >= 0.0;
@@ -153,7 +144,7 @@ std::vector<Choice> World::enabled() {
     if (action_done_[a] != 0) continue;
     const fault::FaultAction& act = actions_[a];
     if (act.kind == fault::FaultAction::Kind::kCrash) {
-      if (!algos_[static_cast<std::size_t>(act.node)]->crashed()) {
+      if (!nodes_.algorithm(static_cast<std::size_t>(act.node)).crashed()) {
         Choice c;
         c.kind = Choice::Kind::kCrash;
         c.node = act.node;
@@ -161,7 +152,7 @@ std::vector<Choice> World::enabled() {
         out.push_back(std::move(c));
       }
     } else if (act.kind == fault::FaultAction::Kind::kRestart) {
-      if (algos_[static_cast<std::size_t>(act.node)]->crashed()) {
+      if (nodes_.algorithm(static_cast<std::size_t>(act.node)).crashed()) {
         Choice c;
         c.kind = Choice::Kind::kRestart;
         c.node = act.node;
@@ -172,7 +163,7 @@ std::vector<Choice> World::enabled() {
       // A cut is a real scheduling alternative at any un-partitioned state;
       // in-flight messages keep their delivery events (a cut severs links,
       // not packets already in the air).
-      if (!cluster_->network().faults().partitioned()) {
+      if (!nodes_.network().faults().partitioned()) {
         Choice c;
         c.kind = Choice::Kind::kPartition;
         c.action = static_cast<std::int32_t>(a);
@@ -180,7 +171,7 @@ std::vector<Choice> World::enabled() {
         out.push_back(std::move(c));
       }
     } else if (act.kind == fault::FaultAction::Kind::kHeal) {
-      if (cluster_->network().faults().partitioned()) {
+      if (nodes_.network().faults().partitioned()) {
         Choice c;
         c.kind = Choice::Kind::kHeal;
         c.action = static_cast<std::int32_t>(a);
@@ -216,24 +207,23 @@ std::optional<Choice> World::find_enabled(std::string_view key) {
 void World::apply(const Choice& c) {
   switch (c.kind) {
     case Choice::Kind::kFire:
-      if (!cluster_->simulator().fire(c.event)) {
+      if (!nodes_.sim().fire(c.event)) {
         throw std::logic_error("verify: fire() on an event no longer pending");
       }
       break;
     case Choice::Kind::kDrop:
-      if (!cluster_->simulator().cancel(c.event)) {
+      if (!nodes_.sim().cancel(c.event)) {
         throw std::logic_error("verify: drop of an event no longer pending");
       }
-      ++cluster_->network().mutable_stats().dropped;
+      ++nodes_.network().mutable_stats().dropped;
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     case Choice::Kind::kCrash:
-      cluster_->crash_node(net::NodeId{c.node});
-      drivers_[static_cast<std::size_t>(c.node)]->on_node_crashed();
+      nodes_.cluster().crash_node(net::NodeId{c.node});
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     case Choice::Kind::kRestart:
-      cluster_->restart_node(net::NodeId{c.node});
+      nodes_.cluster().restart_node(net::NodeId{c.node});
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     case Choice::Kind::kPartition: {
@@ -246,12 +236,12 @@ void World::apply(const Choice& c) {
         g.reserve(group.size());
         for (int n : group) g.push_back(net::NodeId{n});
       }
-      cluster_->network().faults().set_partition(std::move(groups));
+      nodes_.network().faults().set_partition(std::move(groups));
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     }
     case Choice::Kind::kHeal:
-      cluster_->network().faults().heal_partition();
+      nodes_.network().faults().heal_partition();
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
   }
@@ -259,19 +249,20 @@ void World::apply(const Choice& c) {
 }
 
 std::optional<mutex::Violation> World::check() {
-  const std::vector<mutex::Violation>& reports = monitor_.reports();
+  const std::vector<mutex::Violation>& reports = nodes_.monitor().reports();
   if (consumed_reports_ < reports.size()) {
     return reports[consumed_reports_++];
   }
   std::vector<net::NodeId> holders;
-  for (const mutex::MutexAlgorithm* algo : algos_) {
-    if (algo->crashed()) continue;
-    if (algo->holds_token().value_or(false)) holders.push_back(algo->id());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const mutex::MutexAlgorithm& algo = nodes_.algorithm(i);
+    if (algo.crashed()) continue;
+    if (algo.holds_token().value_or(false)) holders.push_back(algo.id());
   }
   if (holders.size() > 1) {
     mutex::Violation v;
     v.kind = mutex::Violation::Kind::kTokenDuplicated;
-    v.time = cluster_->simulator().now();
+    v.time = nodes_.sim().now();
     v.nodes = std::move(holders);
     v.detail = std::to_string(v.nodes.size()) +
                " live nodes hold the token simultaneously";
@@ -279,7 +270,7 @@ std::optional<mutex::Violation> World::check() {
     // split-brain signature) from a plain duplication bug (same epoch).
     std::string epochs;
     for (const net::NodeId h : v.nodes) {
-      const auto e = algos_[static_cast<std::size_t>(h.index())]->token_epoch();
+      const auto e = nodes_.algorithm(h.index()).token_epoch();
       if (!e.has_value()) continue;
       if (!epochs.empty()) epochs += ", ";
       epochs +=
@@ -293,23 +284,23 @@ std::optional<mutex::Violation> World::check() {
 
 std::optional<mutex::Violation> World::terminal_check() {
   std::vector<net::NodeId> starving;
-  for (std::size_t i = 0; i < algos_.size(); ++i) {
-    if (!drivers_[i]->idle() && !algos_[i]->crashed()) {
-      starving.push_back(algos_[i]->id());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!nodes_.driver(i).idle() && !nodes_.algorithm(i).crashed()) {
+      starving.push_back(nodes_.algorithm(i).id());
     }
   }
   if (starving.empty()) return std::nullopt;
   mutex::Violation v;
   v.kind = mutex::Violation::Kind::kStarvation;
-  v.time = cluster_->simulator().now();
+  v.time = nodes_.sim().now();
   v.nodes = std::move(starving);
   v.detail = "pending live demand with no enabled transition left";
   return v;
 }
 
 bool World::quiescent() const {
-  for (const auto& d : drivers_) {
-    if (!d->idle()) return false;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!nodes_.driver(i).idle()) return false;
   }
   for (const char done : action_done_) {
     if (done == 0) return false;
@@ -319,19 +310,18 @@ bool World::quiescent() const {
 
 std::string World::debug_dump() const {
   std::string out;
-  for (std::size_t i = 0; i < algos_.size(); ++i) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const mutex::MutexAlgorithm& algo = nodes_.algorithm(i);
     out += "  node " + std::to_string(i) + ": ";
-    out += algos_[i]->crashed() ? "CRASHED" : algos_[i]->debug_state();
-    if (!drivers_[i]->idle()) out += " [demand pending]";
+    out += algo.crashed() ? "CRASHED" : algo.debug_state();
+    if (!nodes_.driver(i).idle()) out += " [demand pending]";
     out += "\n";
   }
   return out;
 }
 
 std::uint64_t World::completed() const {
-  std::uint64_t total = 0;
-  for (const auto& d : drivers_) total += d->completed();
-  return total;
+  return nodes_.total_completed();
 }
 
 }  // namespace dmx::verify

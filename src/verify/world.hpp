@@ -1,7 +1,7 @@
 // One controlled execution of a verification world.
 //
-// A World wires the ordinary production stack — Cluster, Network, the
-// algorithm under test, CsDrivers, SafetyMonitor — but never calls
+// A World builds the ordinary production stack — a mutex::MutexCluster of
+// the algorithm under test, as the sweep uses it — but never calls
 // Simulator::run().  Instead the explorer (or a counterexample replay)
 // pulls the enabled choice set, picks one, applies it, and asks the world
 // whether an invariant just broke.  All demand is submitted at t=0, so the
@@ -19,11 +19,9 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/violation.hpp"
 #include "obs/sink.hpp"
-#include "runtime/cluster.hpp"
 #include "verify/choice.hpp"
 #include "verify/config.hpp"
 
@@ -65,7 +63,7 @@ class World {
   /// Per-node protocol + driver state, one line per node (diagnostics).
   [[nodiscard]] std::string debug_dump() const;
 
-  [[nodiscard]] sim::Simulator& simulator() { return cluster_->simulator(); }
+  [[nodiscard]] sim::Simulator& simulator() { return nodes_.sim(); }
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
   [[nodiscard]] std::uint64_t completed() const;
 
@@ -79,11 +77,7 @@ class World {
   void record_send(const net::Envelope& env);
 
   VerifyConfig cfg_;
-  mutex::RequestIdSource ids_;
-  mutex::SafetyMonitor monitor_;
-  std::unique_ptr<runtime::Cluster> cluster_;
-  std::vector<mutex::MutexAlgorithm*> algos_;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers_;
+  mutex::MutexCluster nodes_;
   std::vector<fault::FaultAction> actions_;
   std::vector<char> action_done_;
   std::unordered_map<std::uint64_t, MsgInfo> msg_info_;  ///< By msg_id.

@@ -32,7 +32,7 @@ TEST(ArbiterProtocol, PaperSection22Example) {
   tb.sim().run();
 
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 
   const auto stats = tb.protocol_stats();
   EXPECT_EQ(stats.requests_forwarded, 1u);
@@ -90,7 +90,7 @@ TEST(ArbiterProtocol, CollectionWindowBatchesFcfs) {
   tb.submit_at(0.6, 2);
   std::vector<int> completion_order;
   for (std::size_t i = 0; i < 5; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&completion_order, i](const mutex::CsRequest&) {
           completion_order.push_back(static_cast<int>(i));
         });
@@ -109,14 +109,14 @@ TEST(ArbiterProtocol, PriorityOrderingWithinBatch) {
   tb.submit_at(0.6, 3, /*priority=*/3);
   std::vector<int> completion_order;
   for (std::size_t i = 0; i < 5; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&completion_order, i](const mutex::CsRequest&) {
           completion_order.push_back(static_cast<int>(i));
         });
   }
   tb.sim().run();
   EXPECT_EQ(completion_order, (std::vector<int>{2, 3, 1}));
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(ArbiterProtocol, DroppedRequestIsResubmittedViaNewArbiterMiss) {
@@ -233,7 +233,7 @@ TEST(ArbiterProtocol, FcfsOrderWithinBatchPreserved) {
   tb.submit_at(0.2, 3);
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });

@@ -39,7 +39,7 @@ TEST(Centralized, FcfsAcrossNodes) {
   MutexCluster tb("centralized", 4, no_params());
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
@@ -68,7 +68,7 @@ TEST(SuzukiKasami, RemoteRequestCostsNMessages) {
   EXPECT_EQ(tb.total_completed(), 1u);
   // N-1 broadcast REQUESTs + 1 token.
   EXPECT_EQ(tb.network().stats().sent, 5u);
-  auto* sk = dynamic_cast<SuzukiKasamiMutex*>(tb.algos[3]);
+  auto* sk = dynamic_cast<SuzukiKasamiMutex*>(&tb.algorithm(3));
   ASSERT_NE(sk, nullptr);
   EXPECT_TRUE(sk->has_token());  // token stays with the last user
 }
@@ -80,8 +80,8 @@ TEST(SuzukiKasami, OutdatedRequestsIgnored) {
   tb.submit_at(0.0, 1);
   tb.submit_at(5.0, 1);
   tb.sim().run();
-  EXPECT_EQ(tb.drivers[1]->completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.driver(1).completed(), 2u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 // --- Raymond ----------------------------------------------------------------
@@ -96,7 +96,7 @@ TEST(Raymond, TokenMovesAlongTreeEdgesOnly) {
   const auto by_type = net::counts_by_name(tb.network().stats().sent_by_kind);
   EXPECT_EQ(by_type.get("RY-REQUEST"), 2u);
   EXPECT_EQ(by_type.get("RY-PRIVILEGE"), 2u);
-  auto* leaf = dynamic_cast<RaymondMutex*>(tb.algos[6]);
+  auto* leaf = dynamic_cast<RaymondMutex*>(&tb.algorithm(6));
   ASSERT_NE(leaf, nullptr);
   EXPECT_TRUE(leaf->holds_token().value_or(false));
 }
@@ -139,7 +139,7 @@ TEST(PathReversal, FirstRemoteRequestIsTwoMessages) {
   const auto by_type = net::counts_by_name(tb.network().stats().sent_by_kind);
   EXPECT_EQ(by_type.get("PR-REQUEST"), 1u);
   EXPECT_EQ(by_type.get("PR-TOKEN"), 1u);
-  auto* requester = dynamic_cast<PathReversalMutex*>(tb.algos[3]);
+  auto* requester = dynamic_cast<PathReversalMutex*>(&tb.algorithm(3));
   ASSERT_NE(requester, nullptr);
   EXPECT_TRUE(requester->is_root());
   EXPECT_TRUE(requester->holds_token().value_or(false));
@@ -164,7 +164,7 @@ TEST(PathReversal, PathReversalCollapsesTheChain) {
   const auto by_type = net::counts_by_name(tb.network().stats().sent_by_kind);
   EXPECT_EQ(by_type.get("PR-REQUEST"), 6u);
   EXPECT_EQ(by_type.get("PR-TOKEN"), 4u);
-  auto* last = dynamic_cast<PathReversalMutex*>(tb.algos[0]);
+  auto* last = dynamic_cast<PathReversalMutex*>(&tb.algorithm(0));
   ASSERT_NE(last, nullptr);
   EXPECT_TRUE(last->is_root());
   EXPECT_TRUE(last->holds_token().value_or(false));
@@ -250,7 +250,7 @@ TEST(Maekawa, HighContentionStormsResolve) {
   }
   tb.sim().run_until(sim::SimTime::units(2'000.0));
   EXPECT_EQ(tb.total_completed(), 180u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 // --- Singhal dynamic ----------------------------------------------------------
@@ -258,7 +258,7 @@ TEST(Maekawa, HighContentionStormsResolve) {
 TEST(Singhal, StaircaseInitialization) {
   MutexCluster tb("singhal", 6, no_params());
   for (std::size_t i = 0; i < 6; ++i) {
-    auto* s = dynamic_cast<SinghalDynamicMutex*>(tb.algos[i]);
+    auto* s = dynamic_cast<SinghalDynamicMutex*>(&tb.algorithm(i));
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->request_set_size(), i) << "node " << i;
   }
@@ -290,7 +290,7 @@ TEST(Singhal, ConcurrentColdStartIsSafe) {
   for (std::size_t i = 0; i < 6; ++i) tb.submit_at(0.0, i);
   tb.sim().run();
   EXPECT_EQ(tb.total_completed(), 6u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 // --- Lamport & Ricart–Agrawala ordering ---------------------------------------
@@ -299,7 +299,7 @@ TEST(Lamport, TimestampOrderRespected) {
   MutexCluster tb("lamport", 4, no_params());
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
@@ -314,7 +314,7 @@ TEST(RicartAgrawala, SimultaneousRequestsTieBreakByNodeId) {
   MutexCluster tb("ricart-agrawala", 4, no_params());
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
@@ -361,15 +361,15 @@ TEST(TokenRing, ParksAfterQuietRevolutionAndWakes) {
   EXPECT_EQ(tb.total_completed(), 1u);
   // The token must end up parked somewhere (the run drained).
   int parked = 0;
-  for (auto* a : tb.algos) {
-    if (dynamic_cast<TokenRingMutex*>(a)->parked()) ++parked;
+  for (std::size_t i = 0; i < tb.size(); ++i) {
+    if (dynamic_cast<TokenRingMutex&>(tb.algorithm(i)).parked()) ++parked;
   }
   EXPECT_EQ(parked, 1);
   // A later request on the far side of the ring wakes it.
   tb.submit_at(100.0, 4);
   tb.sim().run();
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(TokenRing, HolderOfParkedTokenEntersFree) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "harness/cli.hpp"
 
@@ -194,6 +196,42 @@ TEST(Cli, LockServiceFlagRejections) {
                std::invalid_argument);  // unknown role key
   EXPECT_THROW(parse({"--shard-algo", "hot"}), std::invalid_argument);
   EXPECT_THROW(parse({"--batch", "x"}), std::invalid_argument);
+}
+
+TEST(Cli, LockServiceRejectsSweepOnlyFlagsByName) {
+  const CliOptions o =
+      parse({"--resources", "4", "--algo", "raymond", "--lambda", "1,2",
+             "--seeds", "5",
+             "--delay", "uniform", "--jitter", "0.01", "--loss",
+             "PRIVILEGE=0.5", "--fault", "t=1 crash 0", "--transport",
+             "reliable", "--stall", "5", "--max-events", "100"});
+  std::ostringstream os;
+  EXPECT_EQ(run_cli(o, os), 2);
+  const std::string out = os.str();
+  for (const char* flag :
+       {"--algo", "--lambda", "--seeds", "--delay", "--jitter", "--loss",
+        "--fault", "--transport", "--stall", "--max-events"}) {
+    EXPECT_NE(out.find(std::string("  - ") + flag), std::string::npos)
+        << flag << " not named in:\n" << out;
+  }
+  EXPECT_EQ(out.find("lock service:"), std::string::npos);  // nothing ran
+}
+
+TEST(Cli, NonFiniteValuesFailUpFrontNamingTheField) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--loss", "PRIVILEGE=nan"}, "PRIVILEGE"},
+       {{"--stall", "nan"}, "stall_threshold"},
+       {{"--t-msg", "inf"}, "t_msg"},
+       {{"--lambda", "nan"}, "lambda"},
+       {{"--t-exec", "nan"}, "t_exec"},
+       {{"--delay", "uniform", "--jitter", "inf"}, "delay_jitter"},
+       {{"--zipf-s", "nan", "--resources", "8"}, "zipf_s"}};
+  for (const auto& [args, field] : cases) {
+    std::ostringstream os;
+    EXPECT_EQ(run_cli(parse_cli(args), os), 2) << field;
+    EXPECT_NE(os.str().find(field), std::string::npos) << os.str();
+    EXPECT_EQ(os.str().find("drained"), std::string::npos) << field;
+  }
 }
 
 TEST(Cli, RunLockServiceProducesShardTable) {

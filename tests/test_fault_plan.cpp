@@ -302,15 +302,7 @@ mutex::ParamSet recovery_params() {
 TEST(CampaignRunner, ExecutesActionsOnScheduleWithHooksAndLog) {
   testbed::MutexCluster tb("arbiter-tp", 5, recovery_params());
   fault::CampaignRunner campaign(
-      *tb.cluster, FaultPlan::parse("t=1 crash 3; t=4 restart 3"));
-  std::vector<std::string> hook_calls;
-  campaign.set_crash_hook([&](net::NodeId id) {
-    hook_calls.push_back("crash " + std::to_string(id.index()));
-    tb.drivers[id.index()]->on_node_crashed();
-  });
-  campaign.set_restart_hook([&](net::NodeId id) {
-    hook_calls.push_back("restart " + std::to_string(id.index()));
-  });
+      tb.cluster(), FaultPlan::parse("t=1 crash 3; t=4 restart 3"));
   std::vector<double> observed_at;
   campaign.set_observer([&](sim::SimTime t, const FaultAction&) {
     observed_at.push_back(t.to_units());
@@ -324,34 +316,54 @@ TEST(CampaignRunner, ExecutesActionsOnScheduleWithHooksAndLog) {
   EXPECT_FALSE(tb.network().faults().is_node_down(net::NodeId{3}));
   EXPECT_EQ(campaign.executed(), 2u);
   EXPECT_EQ(campaign.pending_actions(), 0u);
-  EXPECT_EQ(hook_calls, (std::vector<std::string>{"crash 3", "restart 3"}));
   EXPECT_EQ(observed_at, (std::vector<double>{1.0, 4.0}));
   ASSERT_EQ(campaign.log().size(), 2u);
   EXPECT_EQ(campaign.log()[0], "t=1 crash 3");
   EXPECT_EQ(campaign.log()[1], "t=4 restart 3");
 }
 
+TEST(CampaignRunner, CrashInsideCsVoidsTheNodesDemand) {
+  // The campaign only crashes the node; its driver aborts the demand by
+  // itself, so the monitor sees the dead holder leave and later entries by
+  // other nodes are no violation.
+  testbed::MutexCluster tb("arbiter-tp", 5, recovery_params(), /*t_msg=*/0.1,
+                           /*t_exec=*/2.0);
+  fault::CampaignRunner campaign(tb.cluster(), FaultPlan::parse("t=1 crash 1"));
+  campaign.start();
+  tb.submit_at(0.0, 1);
+  tb.submit_at(1.5, 2);
+  tb.submit_at(2.0, 3);
+  tb.sim().run_until(sim::SimTime::units(0.99));
+  ASSERT_EQ(tb.monitor().current_occupancy(), 1);  // node 1 holds the CS
+  tb.sim().run_until(sim::SimTime::units(60.0));
+  EXPECT_EQ(tb.driver(1).aborted_by_crash(), 1u);
+  EXPECT_EQ(tb.driver(1).completed(), 0u);
+  EXPECT_EQ(tb.driver(2).completed(), 1u);
+  EXPECT_EQ(tb.driver(3).completed(), 1u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
+}
+
 TEST(CampaignRunner, ValidatesPlanAgainstClusterAndRegistry) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
   {
-    fault::CampaignRunner bad_node(*tb.cluster,
+    fault::CampaignRunner bad_node(tb.cluster(),
                                    FaultPlan::parse("t=1 crash 7"));
     EXPECT_THROW(bad_node.start(), std::invalid_argument);
   }
   {
     fault::CampaignRunner bad_type(
-        *tb.cluster, FaultPlan::parse("t=1 lose-next NO-SUCH-TYPE"));
+        tb.cluster(), FaultPlan::parse("t=1 lose-next NO-SUCH-TYPE"));
     EXPECT_THROW(bad_type.start(), std::invalid_argument);
   }
   {
-    fault::CampaignRunner bad_group(*tb.cluster,
+    fault::CampaignRunner bad_group(tb.cluster(),
                                     FaultPlan::parse("t=1 partition 0|1,5"));
     EXPECT_THROW(bad_group.start(), std::invalid_argument);
   }
   {
     tb.sim().schedule_at(sim::SimTime::units(2.0), [] {});
     tb.sim().run_until(sim::SimTime::units(3.0));
-    fault::CampaignRunner in_past(*tb.cluster,
+    fault::CampaignRunner in_past(tb.cluster(),
                                   FaultPlan::parse("t=1 crash 0"));
     EXPECT_THROW(in_past.start(), std::invalid_argument);
   }
@@ -359,7 +371,7 @@ TEST(CampaignRunner, ValidatesPlanAgainstClusterAndRegistry) {
 
 TEST(CampaignRunner, CancelStopsPendingActions) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
-  fault::CampaignRunner campaign(*tb.cluster,
+  fault::CampaignRunner campaign(tb.cluster(),
                                  FaultPlan::parse("t=1 crash 1"));
   campaign.start();
   campaign.cancel();
@@ -371,7 +383,7 @@ TEST(CampaignRunner, CancelStopsPendingActions) {
 TEST(CampaignRunner, ReportsUnfiredTargetedDrops) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
   // ENQUIRY is registered but never sent in a healthy idle run.
-  fault::CampaignRunner campaign(*tb.cluster,
+  fault::CampaignRunner campaign(tb.cluster(),
                                  FaultPlan::parse("t=1 lose-next ENQUIRY"));
   campaign.start();
   tb.submit_at(2.0, 1);
@@ -384,7 +396,7 @@ TEST(CampaignRunner, ReportsUnfiredTargetedDrops) {
 TEST(CampaignRunner, LossWindowRevertsAtUntil) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
   fault::CampaignRunner campaign(
-      *tb.cluster,
+      tb.cluster(),
       FaultPlan::parse("t=1 loss *=0.8 until=5; t=2 loss REQUEST=1 until=6"));
   campaign.start();
   auto& f = tb.network().faults();
@@ -440,7 +452,7 @@ TEST(ProgressMonitor, HealthyRunNeverStallsAndStopsPolling) {
   cfg.stall_threshold = sim::SimTime::units(10.0);
   mutex::ProgressMonitor monitor(tb.sim(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.submit_at(0.5, 1);
@@ -462,7 +474,7 @@ TEST(ProgressMonitor, CrashedArbiterWithoutRecoveryIsDiagnosed) {
   cfg.stall_threshold = sim::SimTime::units(8.0);
   mutex::ProgressMonitor monitor(tb.sim(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.crash_at(0.05, 0);
@@ -489,7 +501,7 @@ TEST(ProgressMonitor, DryEventQueueWithDemandIsAnImmediateStall) {
   cfg.check_interval = sim::SimTime::units(5.0);
   mutex::ProgressMonitor monitor(tb.sim(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.crash_at(0.05, 0);  // the coordinator

@@ -3,6 +3,7 @@
 // batching, and the sharded lock-service scenario built on top of it.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -137,6 +138,19 @@ TEST(LockSpaceSpec, ValidateReportsEveryErrorAtOnce) {
   EXPECT_TRUE(mentions("no-such-override"));
   EXPECT_TRUE(mentions("out of range"));
   EXPECT_TRUE(mentions("override for resource 1"));
+}
+
+TEST(LockSpaceSpec, RejectsNonFiniteTimes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LockSpaceSpec spec = base_config();
+  spec.t_msg = nan;
+  spec.t_exec = std::numeric_limits<double>::infinity();
+  spec.span_hist_max = nan;
+  const auto errors = spec.validate();
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_NE(errors[0].find("t_msg"), std::string::npos);
+  EXPECT_NE(errors[1].find("t_exec"), std::string::npos);
+  EXPECT_NE(errors[2].find("span_hist_max"), std::string::npos);
 }
 
 TEST(LockSpaceBuilder, BuildThrowsJoinedErrors) {
@@ -332,6 +346,24 @@ TEST(LockService, ValidateReportsEveryErrorAtOnce) {
   const auto errors = cfg.validate();
   EXPECT_GE(errors.size(), 6u);
   EXPECT_THROW((void)harness::run_lock_service(cfg), std::invalid_argument);
+}
+
+TEST(LockService, RejectsNonFiniteValues) {
+  harness::register_builtin_algorithms();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  harness::LockServiceConfig cfg;
+  cfg.zipf_s = nan;
+  cfg.t_msg = std::numeric_limits<double>::infinity();
+  cfg.t_exec = nan;
+  cfg.think_mean = nan;
+  cfg.span_hist_max = std::numeric_limits<double>::infinity();
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 5u);
+  const char* fields[] = {"zipf_s", "t_msg", "t_exec", "think_mean",
+                          "span_hist_max"};
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    EXPECT_NE(errors[i].find(fields[i]), std::string::npos) << errors[i];
+  }
 }
 
 TEST(LockService, MixedShardAlgorithmsZeroViolations) {

@@ -62,7 +62,7 @@ TEST(ProgressMonitorReports, StarvedRequestYieldsStructuredReport) {
   cfg.check_interval = sim::SimTime::units(5.0);
   ProgressMonitor monitor(tb.sim(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.crash_at(0.05, 0);
@@ -83,7 +83,7 @@ TEST(ProgressMonitorReports, HealthyRunHasNoViolation) {
   cfg.stall_threshold = sim::SimTime::units(10.0);
   ProgressMonitor monitor(tb.sim(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.submit_at(0.5, 1);

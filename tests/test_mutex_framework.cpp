@@ -152,7 +152,6 @@ TEST(CsDriver, CrashInsideCsReleasesOccupancyAndVoidsQueue) {
   f.algo->grant_now();
   EXPECT_EQ(f.monitor.current_occupancy(), 1);
   f.cluster.crash_node(net::NodeId{0});
-  f.driver->on_node_crashed();
   EXPECT_EQ(f.monitor.current_occupancy(), 0);
   EXPECT_EQ(f.monitor.violations(), 0u);
   EXPECT_EQ(f.driver->aborted_by_crash(), 2u);  // in-CS demand + queued demand
@@ -164,7 +163,6 @@ TEST(CsDriver, CrashInsideCsReleasesOccupancyAndVoidsQueue) {
 TEST(CsDriver, CrashedNodeIgnoresNewSubmissions) {
   DriverFixture f;
   f.cluster.crash_node(net::NodeId{0});
-  f.driver->on_node_crashed();
   f.driver->submit();
   EXPECT_EQ(f.driver->submitted(), 0u);
   EXPECT_EQ(f.algo->requests, 0);

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -246,6 +248,50 @@ TEST(ConfigValidation, ReportsEveryProblemAtOnce) {
   EXPECT_TRUE(mentions_algo);
 }
 
+TEST(ConfigValidation, RejectsNonFiniteValuesByName) {
+  harness::register_builtin_algorithms();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto errors_of = [](auto&& mutate) {
+    harness::ExperimentConfig cfg = small_config();
+    mutate(cfg);
+    return cfg.validate();
+  };
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"lambda", errors_of([&](auto& c) { c.lambda = nan; })},
+       {"t_msg", errors_of([&](auto& c) { c.t_msg = inf; })},
+       {"t_exec", errors_of([&](auto& c) { c.t_exec = nan; })},
+       {"max_sim_units", errors_of([&](auto& c) { c.max_sim_units = inf; })},
+       {"delay_jitter", errors_of([&](auto& c) {
+          c.delay_kind = harness::DelayKind::kUniform;
+          c.delay_jitter = inf;
+        })},
+       {"PRIVILEGE", errors_of([&](auto& c) {
+          c.loss_by_type["PRIVILEGE"] = nan;
+        })},
+       {"stall_threshold", errors_of([&](auto& c) {
+          c.stall_threshold = nan;
+        })},
+       {"zipf_s", errors_of([&](auto& c) { c.zipf_s = nan; })}};
+  for (const auto& [field, errors] : cases) {
+    ASSERT_EQ(errors.size(), 1u) << field;
+    EXPECT_NE(errors[0].find(field), std::string::npos) << errors[0];
+  }
+}
+
+TEST(TraceFormat, ParsesTheThreeFormatNames) {
+  EXPECT_EQ(obs::parse_trace_format("jsonl"), obs::TraceFormat::kJsonl);
+  EXPECT_EQ(obs::parse_trace_format("chrome"), obs::TraceFormat::kChrome);
+  EXPECT_EQ(obs::parse_trace_format("text"), obs::TraceFormat::kText);
+  try {
+    (void)obs::parse_trace_format("JSONL");
+    FAIL() << "an unknown format must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("jsonl, chrome, or text"),
+              std::string::npos);
+  }
+}
+
 TEST(ConfigValidation, ValidConfigPasses) {
   harness::register_builtin_algorithms();
   EXPECT_TRUE(small_config().validate().empty());
@@ -258,35 +304,15 @@ TEST(ConfigValidation, RunExperimentThrowsOnInvalidConfig) {
   EXPECT_THROW((void)harness::run_experiment(cfg), std::invalid_argument);
 }
 
-TEST(ConfigBuilder, BuildsValidatedConfig) {
+TEST(ConfigValidation, ThrowsListingEveryError) {
   harness::register_builtin_algorithms();
-  const harness::ExperimentConfig cfg =
-      harness::ExperimentConfigBuilder{}
-          .algorithm("suzuki-kasami")
-          .nodes(7)
-          .lambda(0.25)
-          .t_msg(0.2)
-          .t_exec(0.05)
-          .total_requests(500)
-          .seed(9)
-          .param("t_req", 1.0)
-          .transport(harness::TransportKind::kReliable)
-          .collect_spans()
-          .build();
-  EXPECT_EQ(cfg.algorithm, "suzuki-kasami");
-  EXPECT_EQ(cfg.n_nodes, 7u);
-  EXPECT_TRUE(cfg.collect_spans);
-  EXPECT_EQ(cfg.transport, harness::TransportKind::kReliable);
-}
-
-TEST(ConfigBuilder, ThrowsListingEveryError) {
-  harness::register_builtin_algorithms();
+  harness::ExperimentConfig cfg = small_config();
+  cfg.algorithm = "bogus";
+  cfg.lambda = -2.0;
+  EXPECT_EQ(cfg.validate().size(), 2u);
   try {
-    (void)harness::ExperimentConfigBuilder{}
-        .algorithm("bogus")
-        .lambda(-2.0)
-        .build();
-    FAIL() << "build() should have thrown";
+    (void)harness::run_experiment(cfg);
+    FAIL() << "run_experiment should have thrown";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("bogus"), std::string::npos);

@@ -63,7 +63,7 @@ TEST(Partitions, MinorityRequestersServedAfterHeal) {
   heal_at(tb, 20.0);
   tb.sim().run_until(sim::SimTime::units(200.0));
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);  // single token side never forked
+  EXPECT_EQ(tb.monitor().violations(), 0u);  // single token side never forked
 }
 
 // KNOWN LIMITATION (inherited from the paper's §6): regeneration is not
@@ -89,7 +89,7 @@ TEST(Partitions, SplitBrainHazardOfQuorumlessRegeneration) {
   EXPECT_EQ(tb.total_completed(), tb.total_submitted());  // liveness holds
   EXPECT_GE(tb.protocol_stats().tokens_regenerated, 1u);
   // The documented hazard: overlapping critical sections across the split.
-  EXPECT_GE(tb.monitor.violations(), 1u)
+  EXPECT_GE(tb.monitor().violations(), 1u)
       << "if this now passes with 0 violations, quorum-guarded regeneration "
          "was added - update DESIGN.md section 5 accordingly";
   // After healing, the epochs reconcile: the stale token is eventually
@@ -118,7 +118,7 @@ TEST(Partitions, QuorumGuardClosesTheSplitBrainWindow) {
   heal_at(tb, 30.0);
   tb.sim().run_until(sim::SimTime::units(200.0));
   EXPECT_EQ(tb.total_completed(), tb.total_submitted());  // liveness holds
-  EXPECT_EQ(tb.monitor.violations(), 0u);  // the hazard is gone
+  EXPECT_EQ(tb.monitor().violations(), 0u);  // the hazard is gone
   const auto s = tb.protocol_stats();
   EXPECT_EQ(s.tokens_regenerated, 0u);  // the genuine token was never forked
   EXPECT_GE(s.quorum_blocked, 1u);      // the guard actually fired

@@ -29,7 +29,7 @@ TEST(Recovery, DroppedPrivilegeIsRegenerated) {
   tb.submit_at(0.1, 2);
   tb.sim().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.tokens_regenerated, 1u);
   EXPECT_GE(s.enquiries_sent, 1u);
@@ -46,7 +46,7 @@ TEST(Recovery, DroppedMidQueuePrivilegeRecovered) {
                                           net::NodeId{2});
   tb.sim().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   EXPECT_GE(tb.protocol_stats().tokens_regenerated, 1u);
 }
 
@@ -60,9 +60,9 @@ TEST(Recovery, CrashedTokenHolderExcludedOthersServed) {
   tb.crash_at(0.35, 1);
   tb.sim().run_until(sim::SimTime::units(60.0));
   // Nodes 2 and 3 are served; node 1's request died with it.
-  EXPECT_EQ(tb.drivers[2]->completed(), 1u);
-  EXPECT_EQ(tb.drivers[3]->completed(), 1u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.driver(2).completed(), 1u);
+  EXPECT_EQ(tb.driver(3).completed(), 1u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   EXPECT_GE(tb.protocol_stats().tokens_regenerated, 1u);
 }
 
@@ -77,7 +77,7 @@ TEST(Recovery, SlowHolderTriggersResumeNotRegeneration) {
   tb.submit_at(0.05, 2);
   tb.sim().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.warnings_sent + s.enquiries_sent, 1u);
   EXPECT_GE(s.resumes_sent, 1u);
@@ -94,9 +94,9 @@ TEST(Recovery, CrashedArbiterElectIsTakenOver) {
   tb.crash_at(0.95, 2);
   tb.submit_at(2.0, 3);  // a request that only a recovered system can serve
   tb.sim().run_until(sim::SimTime::units(60.0));
-  EXPECT_EQ(tb.drivers[1]->completed(), 1u);
-  EXPECT_EQ(tb.drivers[3]->completed(), 1u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.driver(1).completed(), 1u);
+  EXPECT_EQ(tb.driver(3).completed(), 1u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.probes_sent, 1u);
   EXPECT_GE(s.arbiter_takeovers, 1u);
@@ -114,7 +114,7 @@ TEST(Recovery, LostNewArbiterToElectIsCoveredByTokenProof) {
   tb.submit_at(3.0, 3);
   tb.sim().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(Recovery, LostRequestRetransmitted) {
@@ -139,7 +139,7 @@ TEST(Recovery, CrashedBystanderDoesNotBlockTheSystem) {
   tb.submit_at(5.0, 3);
   tb.sim().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(Recovery, RestartedNodeRejoins) {
@@ -150,9 +150,9 @@ TEST(Recovery, RestartedNodeRejoins) {
   tb.submit_at(6.0, 3);  // the restarted node requests again
   tb.submit_at(6.1, 2);
   tb.sim().run_until(sim::SimTime::units(80.0));
-  EXPECT_EQ(tb.drivers[3]->completed(), 1u);
+  EXPECT_EQ(tb.driver(3).completed(), 1u);
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 class LossSoak : public ::testing::TestWithParam<std::uint64_t> {};

@@ -94,9 +94,9 @@ TEST(ReliableTransport, DuplicatedPrivilegeDeliversExactlyOnce) {
   tb.sim().run();
 
   EXPECT_EQ(tb.total_completed(), 1u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   EXPECT_EQ(tb.network().faults().duplicates_injected(), kDups);
-  const net::TransportStats ts = tb.cluster->transport_stats();
+  const net::TransportStats ts = tb.cluster().transport_stats();
   EXPECT_EQ(ts.dup_dropped, kDups);
   const net::MsgKind priv = net::MsgKindRegistry::instance().find("PRIVILEGE");
   ASSERT_TRUE(priv.valid());
@@ -116,8 +116,8 @@ TEST(ReliableTransport, DuplicatedGrantDeliversExactlyOnce) {
   tb.sim().run();
 
   EXPECT_EQ(tb.total_completed(), 1u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
-  EXPECT_EQ(tb.cluster->transport_stats().dup_dropped, kDups);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
+  EXPECT_EQ(tb.cluster().transport_stats().dup_dropped, kDups);
 }
 
 // ---------------------------------------------------------- loss repair
@@ -133,15 +133,15 @@ TEST(ReliableTransport, RetransmissionRepairsTargetedTokenLoss) {
   tb.sim().run();
 
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
-  EXPECT_GE(tb.cluster->transport_stats().retransmits, 1u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
+  EXPECT_GE(tb.cluster().transport_stats().retransmits, 1u);
 }
 
 TEST(ReliableTransport, SurvivesSustainedLossWindowWithBackoff) {
   testbed::MutexCluster tb("ricart-agrawala", 4, mutex::ParamSet{},
                            /*t_msg=*/0.1, /*t_exec=*/0.1, /*seed=*/7,
                            test_config());
-  fault::CampaignRunner campaign(*tb.cluster,
+  fault::CampaignRunner campaign(tb.cluster(),
                                  FaultPlan::parse("t=0 loss *=0.4 until=30"));
   campaign.start();
   for (std::size_t i = 0; i < 20; ++i) {
@@ -150,8 +150,8 @@ TEST(ReliableTransport, SurvivesSustainedLossWindowWithBackoff) {
   tb.sim().run();
 
   EXPECT_EQ(tb.total_completed(), 20u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
-  const net::TransportStats ts = tb.cluster->transport_stats();
+  EXPECT_EQ(tb.monitor().violations(), 0u);
+  const net::TransportStats ts = tb.cluster().transport_stats();
   EXPECT_GT(ts.retransmits, 0u);
   // 40% loss also eats acks, so some delivered frames are resent and must
   // be suppressed as duplicates on the receive side.
@@ -164,7 +164,7 @@ TEST(ReliableTransport, ResequencesReorderedFrames) {
   testbed::MutexCluster tb("lamport", 4, mutex::ParamSet{}, /*t_msg=*/0.1,
                            /*t_exec=*/0.1, /*seed=*/3, test_config());
   fault::CampaignRunner campaign(
-      *tb.cluster, FaultPlan::parse("reorder-window t=0..20"));
+      tb.cluster(), FaultPlan::parse("reorder-window t=0..20"));
   campaign.start();
   for (std::size_t i = 0; i < 12; ++i) {
     tb.submit_at(0.15 * static_cast<double>(i), i % 4);
@@ -172,10 +172,10 @@ TEST(ReliableTransport, ResequencesReorderedFrames) {
   tb.sim().run();
 
   EXPECT_EQ(tb.total_completed(), 12u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   // The reorder fault delays alternate frames past their successors, so the
   // receive side must have parked at least one out-of-order frame.
-  EXPECT_GT(tb.cluster->transport_stats().reorder_buffered, 0u);
+  EXPECT_GT(tb.cluster().transport_stats().reorder_buffered, 0u);
 }
 
 // ------------------------------------------------------------ crash fencing
@@ -302,7 +302,7 @@ TEST(ReliableTransport, LossyRunIsByteDeterministic) {
          << "\n";
     });
     fault::CampaignRunner campaign(
-        *tb.cluster,
+        tb.cluster(),
         FaultPlan::parse("t=1 loss *=0.2 until=25; reorder-window t=5..15; "
                          "t=3 dup-next REQUEST"));
     campaign.start();
@@ -311,7 +311,7 @@ TEST(ReliableTransport, LossyRunIsByteDeterministic) {
     }
     tb.sim().run();
     EXPECT_EQ(tb.total_completed(), 8u);
-    EXPECT_EQ(tb.monitor.violations(), 0u);
+    EXPECT_EQ(tb.monitor().violations(), 0u);
     return os.str();
   };
   const std::string first = run_trace();

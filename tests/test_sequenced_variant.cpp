@@ -50,7 +50,7 @@ TEST(Sequenced, BatchOrderedByFewestPriorEntries) {
 
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
@@ -75,7 +75,7 @@ TEST(Sequenced, LArrayTravelsWithToken) {
   }
   tb.sim().run();
   EXPECT_EQ(tb.total_completed(), 15u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(Sequenced, SafeAndLiveUnderLoadWithRetransmissions) {

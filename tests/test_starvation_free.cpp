@@ -64,7 +64,7 @@ TEST(StarvationFree, DroppedRequestDivertsToMonitorAndIsServed) {
                          // (low-load period = every batch) releases node 1
   tb.sim().run();
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.monitor_resubmissions, 1u);
   EXPECT_GE(s.monitor_buffered, 1u);

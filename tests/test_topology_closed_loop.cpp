@@ -3,12 +3,9 @@
 
 #include <memory>
 
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
 #include "harness/experiment.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/topology.hpp"
-#include "runtime/cluster.hpp"
 #include "workload/closed_loop.hpp"
 
 namespace dmx {
@@ -61,65 +58,40 @@ TEST(Topology, ArbiterSafeAndLiveOnRingTopology) {
   // The paper claims topology independence: run the algorithm over a ring
   // where broadcast costs scale with hop distance.
   harness::register_builtin_algorithms();
-  runtime::Cluster cluster(8, std::make_unique<net::HopDelay>(
-                                  net::Topology::ring(8),
-                                  sim::SimTime::units(0.05)),
-                           3);
   mutex::ParamSet params;
   params.set("t_fwd", 0.5).set("resubmit_after_misses", 1.0);
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (std::int32_t i = 0; i < 8; ++i) {
-    mutex::FactoryContext ctx{net::NodeId{i}, 8, params};
-    auto algo = mutex::Registry::instance().create("arbiter-tp", ctx);
-    auto* raw = algo.get();
-    cluster.install(net::NodeId{i}, std::move(algo));
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *dynamic_cast<mutex::MutexAlgorithm*>(raw),
-        sim::SimTime::units(0.1), &monitor, &ids));
-  }
-  cluster.start();
+  mutex::MutexCluster nodes(
+      "arbiter-tp", 8, params, 0.1, 3,
+      std::make_unique<net::HopDelay>(net::Topology::ring(8),
+                                      sim::SimTime::units(0.05)));
+  nodes.start();
   sim::Rng rng(5);
   for (int k = 0; k < 200; ++k) {
     const auto node = static_cast<std::size_t>(rng.uniform_int(0, 7));
     const double when = rng.uniform(0.0, 60.0);
-    cluster.simulator().schedule_at(
-        sim::SimTime::units(when),
-        [&drivers, node] { drivers[node]->submit(); });
+    nodes.submit_at(when, node);
   }
-  cluster.simulator().run();
-  std::uint64_t done = 0;
-  for (auto& d : drivers) done += d->completed();
-  EXPECT_EQ(done, 200u);
-  EXPECT_EQ(monitor.violations(), 0u);
+  nodes.sim().run();
+  EXPECT_EQ(nodes.total_completed(), 200u);
+  EXPECT_EQ(nodes.monitor().violations(), 0u);
+}
+
+// The registry must be filled before a MutexCluster is built.
+std::string registered_arbiter_tp() {
+  harness::register_builtin_algorithms();
+  return "arbiter-tp";
 }
 
 struct ClosedLoopFixture {
-  runtime::Cluster cluster;
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
+  mutex::MutexCluster nodes;
   std::vector<mutex::CsDriver*> dp;
 
   explicit ClosedLoopFixture(std::size_t n)
-      : cluster(n,
-                std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)),
-                2) {
-    harness::register_builtin_algorithms();
-    mutex::ParamSet params;
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId nid{static_cast<std::int32_t>(i)};
-      mutex::FactoryContext ctx{nid, n, params};
-      auto algo = mutex::Registry::instance().create("arbiter-tp", ctx);
-      auto* raw = algo.get();
-      cluster.install(nid, std::move(algo));
-      drivers.push_back(std::make_unique<mutex::CsDriver>(
-          cluster.simulator(), *dynamic_cast<mutex::MutexAlgorithm*>(raw),
-          sim::SimTime::units(0.1), &monitor, &ids));
-      dp.push_back(drivers.back().get());
-    }
-    cluster.start();
+      : nodes(registered_arbiter_tp(), n, mutex::ParamSet{}, 0.1, 2,
+              std::make_unique<net::ConstantDelay>(
+                  sim::SimTime::units(0.1))) {
+    for (std::size_t i = 0; i < n; ++i) dp.push_back(&nodes.driver(i));
+    nodes.start();
   }
 };
 
@@ -132,16 +104,15 @@ TEST(ClosedLoop, ZeroThinkTimeSaturatesAtHeavyLoadBound) {
     think.push_back(std::make_unique<workload::DeterministicArrivals>(
         sim::SimTime::ticks(1)));
   }
-  workload::ClosedLoopGenerator gen(f.cluster.simulator(), f.dp,
+  workload::ClosedLoopGenerator gen(f.nodes.sim(), f.dp,
                                     std::move(think), 10'000, 4);
   gen.start();
-  f.cluster.simulator().run();
-  std::uint64_t done = 0;
-  for (auto& d : f.drivers) done += d->completed();
+  f.nodes.sim().run();
+  const std::uint64_t done = f.nodes.total_completed();
   EXPECT_EQ(done, 10'000u);
-  EXPECT_EQ(f.monitor.violations(), 0u);
+  EXPECT_EQ(f.nodes.monitor().violations(), 0u);
   const double mpc =
-      static_cast<double>(f.cluster.network().stats().sent) /
+      static_cast<double>(f.nodes.network().stats().sent) /
       static_cast<double>(done);
   EXPECT_NEAR(mpc, 2.8, 0.15);
 }
@@ -154,11 +125,11 @@ TEST(ClosedLoop, BoundedPopulation) {
   for (int i = 0; i < 4; ++i) {
     think.push_back(std::make_unique<workload::PoissonArrivals>(2.0));
   }
-  workload::ClosedLoopGenerator gen(f.cluster.simulator(), f.dp,
+  workload::ClosedLoopGenerator gen(f.nodes.sim(), f.dp,
                                     std::move(think), 500, 4);
   gen.start();
-  f.cluster.simulator().run();
-  for (auto& d : f.drivers) {
+  f.nodes.sim().run();
+  for (const mutex::CsDriver* d : f.dp) {
     EXPECT_TRUE(d->idle());
     // Sojourn equals service when there is no local queueing.
     EXPECT_NEAR(d->sojourn_time().mean(), d->service_time().mean(), 1e-9);
@@ -173,13 +144,13 @@ TEST(ClosedLoop, StopNodeHaltsItsLoop) {
     think.push_back(std::make_unique<workload::DeterministicArrivals>(
         sim::SimTime::units(1.0)));
   }
-  workload::ClosedLoopGenerator gen(f.cluster.simulator(), f.dp,
+  workload::ClosedLoopGenerator gen(f.nodes.sim(), f.dp,
                                     std::move(think), 1'000'000, 4);
   gen.stop_node(2);
   gen.start();
-  f.cluster.simulator().run_until(sim::SimTime::units(20.0));
-  EXPECT_EQ(f.drivers[2]->submitted(), 0u);
-  EXPECT_GT(f.drivers[0]->submitted(), 5u);
+  f.nodes.sim().run_until(sim::SimTime::units(20.0));
+  EXPECT_EQ(f.dp[2]->submitted(), 0u);
+  EXPECT_GT(f.dp[0]->submitted(), 5u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // round-trip through the dmx.cex.v1 format and replay byte-identically.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -474,6 +475,10 @@ TEST(VerifyConfig, RejectsOutOfScopeConfigs) {
   EXPECT_THROW(cfg.check(), std::invalid_argument);
 
   cfg = base_config("no-such-algorithm");
+  EXPECT_THROW(cfg.check(), std::invalid_argument);
+
+  cfg = base_config("arbiter-tp");
+  cfg.t_msg = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(cfg.check(), std::invalid_argument);
 
   cfg = base_config("arbiter-tp");

@@ -1,107 +1,65 @@
-// Shared fixture for protocol-level tests: a cluster of N mutex algorithm
-// instances with drivers, a safety monitor and a memory trace sink, driven
-// manually (no workload generator) so tests can script exact scenarios.
+// Shared fixture for protocol-level tests: a started mutex::MutexCluster
+// tracing into a memory sink, driven manually (no workload generator) so
+// tests can script exact scenarios.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/arbiter_mutex.hpp"
 #include "harness/experiment.hpp"
-#include "mutex/cs_driver.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
-#include "net/delay_model.hpp"
 #include "obs/sinks.hpp"
-#include "obs/tracer.hpp"
-#include "runtime/cluster.hpp"
 
 namespace dmx::testbed {
 
-struct MutexCluster {
+struct MutexCluster : mutex::MutexCluster {
   std::shared_ptr<obs::MemorySink> sink;
-  std::unique_ptr<runtime::Cluster> cluster;
-  mutex::SafetyMonitor monitor;
-  mutex::RequestIdSource ids;
-  std::vector<mutex::MutexAlgorithm*> algos;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
 
-  /// Build an N-node cluster of the named registered algorithm.  Pass a
-  /// ReliableTransportConfig to interpose the sliding-window transport
-  /// beneath every process (defaults are scaled to t_msg).
+  /// Build and start an N-node cluster of the named registered algorithm.
+  /// Pass a ReliableTransportConfig to interpose the sliding-window
+  /// transport beneath every process (defaults are scaled to t_msg).
   MutexCluster(const std::string& algorithm, std::size_t n,
                const mutex::ParamSet& params, double t_msg = 0.1,
                double t_exec = 0.1, std::uint64_t seed = 1,
                std::optional<net::ReliableTransportConfig> reliable =
                    std::nullopt)
-      : sink(std::make_shared<obs::MemorySink>()) {
-    harness::register_builtin_algorithms();
-    cluster = std::make_unique<runtime::Cluster>(
-        n, std::make_unique<net::ConstantDelay>(sim::SimTime::units(t_msg)),
-        seed, obs::Tracer(sink));
-    if (reliable) cluster->use_reliable_transport(*reliable);
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId nid{static_cast<std::int32_t>(i)};
-      mutex::FactoryContext ctx{nid, n, params};
-      auto algo = mutex::Registry::instance().create(algorithm, ctx);
-      algos.push_back(algo.get());
-      cluster->install(nid, std::move(algo));
-      drivers.push_back(std::make_unique<mutex::CsDriver>(
-          cluster->simulator(), *algos.back(), sim::SimTime::units(t_exec),
-          &monitor, &ids));
-      drivers.back()->set_tracer(obs::Tracer(sink));
-    }
-    cluster->start();
-  }
-
-  sim::Simulator& sim() { return cluster->simulator(); }
-  net::Network& network() { return cluster->network(); }
+      : MutexCluster(new_sink(), algorithm, n, params, t_msg, t_exec, seed,
+                     reliable) {}
 
   core::ArbiterMutex& arbiter(std::size_t i) {
-    return *dynamic_cast<core::ArbiterMutex*>(algos[i]);
-  }
-
-  /// Submit a CS demand at node i at absolute sim time t.
-  void submit_at(double t, std::size_t i, int priority = 0) {
-    sim().schedule_at(sim::SimTime::units(t),
-                      [this, i, priority] { drivers[i]->submit(priority); });
-  }
-
-  void crash_at(double t, std::size_t i) {
-    sim().schedule_at(sim::SimTime::units(t), [this, i] {
-      cluster->crash_node(net::NodeId{static_cast<std::int32_t>(i)});
-      drivers[i]->on_node_crashed();
-    });
-  }
-
-  void restart_at(double t, std::size_t i) {
-    sim().schedule_at(sim::SimTime::units(t), [this, i] {
-      cluster->restart_node(net::NodeId{static_cast<std::int32_t>(i)});
-    });
-  }
-
-  [[nodiscard]] std::uint64_t total_completed() const {
-    std::uint64_t c = 0;
-    for (const auto& d : drivers) c += d->completed();
-    return c;
-  }
-
-  [[nodiscard]] std::uint64_t total_submitted() const {
-    std::uint64_t c = 0;
-    for (const auto& d : drivers) c += d->submitted();
-    return c;
+    return dynamic_cast<core::ArbiterMutex&>(algorithm(i));
   }
 
   core::ArbiterStats protocol_stats() {
     core::ArbiterStats s;
-    for (auto* a : algos) {
-      if (auto* arb = dynamic_cast<core::ArbiterMutex*>(a)) {
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (auto* arb = dynamic_cast<core::ArbiterMutex*>(&algorithm(i))) {
         s.merge(arb->protocol_stats());
       }
     }
     return s;
+  }
+
+ private:
+  static std::shared_ptr<obs::MemorySink> new_sink() {
+    harness::register_builtin_algorithms();
+    return std::make_shared<obs::MemorySink>();
+  }
+
+  MutexCluster(std::shared_ptr<obs::MemorySink> s,
+               const std::string& algorithm, std::size_t n,
+               const mutex::ParamSet& params, double t_msg, double t_exec,
+               std::uint64_t seed,
+               std::optional<net::ReliableTransportConfig> reliable)
+      : mutex::MutexCluster(
+            algorithm, n, params, t_exec, seed,
+            std::make_unique<net::ConstantDelay>(sim::SimTime::units(t_msg)),
+            {.tracer = obs::Tracer(s), .reliable = reliable}),
+        sink(std::move(s)) {
+    start();
   }
 };
 

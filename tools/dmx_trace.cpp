@@ -10,20 +10,20 @@
 //       --drop PRIVILEGE --submit 1:0 --submit 2:0.1
 //   # crash the token holder
 //   dmx_trace --n 5 --param recovery=1 --submit 1:0 --crash 1:0.45
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "harness/cli.hpp"
-#include "mutex/cs_driver.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
 #include "net/delay_model.hpp"
 #include "obs/sinks.hpp"
 #include "obs/span.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/cluster.hpp"
 
 namespace {
 
@@ -58,10 +58,14 @@ Action parse_action(Action::Kind kind, const std::string& flag,
                     const std::string& v) {
   const auto colon = v.find(':');
   if (colon == std::string::npos) usage_error("expected NODE:TIME, got " + v);
+  const double time = dmx::harness::parse_double(flag, v.substr(colon + 1));
+  if (!(std::isfinite(time) && time >= 0.0)) {
+    usage_error(flag + " TIME must be finite and >= 0, got " + v);
+  }
   return Action{kind,
                 static_cast<std::size_t>(
                     dmx::harness::parse_u64(flag, v.substr(0, colon))),
-                dmx::harness::parse_double(flag, v.substr(colon + 1))};
+                time};
 }
 
 }  // namespace
@@ -75,7 +79,7 @@ int main(int argc, char** argv) {
   std::vector<Action> actions;
   std::vector<std::string> drops;
   std::string trace_out;
-  std::string trace_format = "jsonl";
+  obs::TraceFormat trace_format = obs::TraceFormat::kJsonl;
 
   const std::vector<std::string> args(argv + 1, argv + argc);
   try {
@@ -113,11 +117,7 @@ int main(int argc, char** argv) {
       } else if (a == "--trace-out") {
         trace_out = value("--trace-out");
       } else if (a == "--trace-format") {
-        trace_format = value("--trace-format");
-        if (trace_format != "jsonl" && trace_format != "chrome" &&
-            trace_format != "text") {
-          usage_error("--trace-format expects jsonl, chrome or text");
-        }
+        trace_format = obs::parse_trace_format(value("--trace-format"));
       } else if (a == "--help" || a == "-h") {
         usage_error("help");
       } else {
@@ -128,6 +128,12 @@ int main(int argc, char** argv) {
     usage_error(e.what());
   }
   if (actions.empty()) usage_error("no --submit actions given");
+  // NaN passes every `<` check and would reach the simulator's clock.
+  for (const double t : {t_msg, t_exec}) {
+    if (!(std::isfinite(t) && t >= 0.0)) {
+      usage_error("--t-msg and --t-exec must be finite and >= 0");
+    }
+  }
 
   harness::register_builtin_algorithms();
   if (!mutex::Registry::instance().contains(algo)) {
@@ -145,73 +151,48 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) {
     trace_file.open(trace_out);
     if (!trace_file) usage_error("cannot open --trace-out file " + trace_out);
-    obs::TraceFormat fmt = obs::TraceFormat::kJsonl;
-    if (trace_format == "chrome") fmt = obs::TraceFormat::kChrome;
-    if (trace_format == "text") fmt = obs::TraceFormat::kText;
     file_chain = std::make_shared<obs::SpanCollector>(
-        obs::make_format_sink(fmt, trace_file));
+        obs::make_format_sink(trace_format, trace_file));
     cluster_sink = std::make_shared<obs::TeeSink>(
         std::vector<std::shared_ptr<obs::Sink>>{console, file_chain});
   }
-  obs::Tracer tracer(cluster_sink);
-  runtime::Cluster cluster(
-      n, std::make_unique<net::ConstantDelay>(sim::SimTime::units(t_msg)), 7,
-      tracer);
-  cluster.network().set_tap([&](const net::Envelope& env, bool dropped) {
+  std::optional<mutex::MutexCluster> nodes;
+  try {
+    nodes.emplace(
+        algo, n, params, t_exec, 7,
+        std::make_unique<net::ConstantDelay>(sim::SimTime::units(t_msg)),
+        mutex::MutexClusterOptions{.tracer = obs::Tracer(cluster_sink)});
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what());  // an out-of-range or malformed --param
+  }
+  nodes->network().set_tap([&](const net::Envelope& env, bool dropped) {
     std::cout << "[" << env.sent_at.to_string() << "] msg     " << env.src
               << " -> " << env.dst << "  " << env.payload->describe()
               << (dropped ? "  [DROPPED]" : "") << "\n";
   });
   for (const auto& type : drops) {
-    cluster.network().faults().drop_next_of_type(type);
+    nodes->network().faults().drop_next_of_type(type);
   }
-
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::NodeId nid{static_cast<std::int32_t>(i)};
-    mutex::FactoryContext ctx{nid, n, params};
-    std::unique_ptr<mutex::MutexAlgorithm> algorithm;
-    try {
-      algorithm = mutex::Registry::instance().create(algo, ctx);
-    } catch (const std::invalid_argument& e) {
-      usage_error(e.what());  // an out-of-range or malformed --param
-    }
-    auto* raw = algorithm.get();
-    cluster.install(nid, std::move(algorithm));
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *raw, sim::SimTime::units(t_exec), &monitor,
-        &ids));
-    drivers.back()->set_tracer(tracer);
-  }
-  cluster.start();
+  nodes->start();
 
   for (const Action& act : actions) {
     if (act.node >= n) usage_error("action node out of range");
-    cluster.simulator().schedule_at(
-        sim::SimTime::units(act.time), [&, act] {
-          const net::NodeId nid{static_cast<std::int32_t>(act.node)};
-          switch (act.kind) {
-            case Action::kSubmit:
-              drivers[act.node]->submit();
-              break;
-            case Action::kCrash:
-              cluster.crash_node(nid);
-              drivers[act.node]->on_node_crashed();
-              break;
-            case Action::kRestart:
-              cluster.restart_node(nid);
-              break;
-          }
-        });
+    switch (act.kind) {
+      case Action::kSubmit:
+        nodes->submit_at(act.time, act.node);
+        break;
+      case Action::kCrash:
+        nodes->crash_at(act.time, act.node);
+        break;
+      case Action::kRestart:
+        nodes->restart_at(act.time, act.node);
+        break;
+    }
   }
-  cluster.simulator().run_until(sim::SimTime::units(until));
+  nodes->sim().run_until(sim::SimTime::units(until));
 
-  std::uint64_t completed = 0;
-  for (auto& d : drivers) completed += d->completed();
-  std::cout << "\n" << completed << " critical sections, "
-            << cluster.network().stats().sent << " messages, "
-            << monitor.violations() << " safety violations\n";
-  return monitor.violations() == 0 ? 0 : 1;
+  std::cout << "\n" << nodes->total_completed() << " critical sections, "
+            << nodes->network().stats().sent << " messages, "
+            << nodes->monitor().violations() << " safety violations\n";
+  return nodes->monitor().violations() == 0 ? 0 : 1;
 }

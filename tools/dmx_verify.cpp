@@ -37,7 +37,7 @@ struct Options {
   std::string cex_out;
   std::string replay_file;
   std::string trace_out;
-  std::string trace_format = "jsonl";
+  dmx::obs::TraceFormat trace_format = dmx::obs::TraceFormat::kJsonl;
   bool list = false;
   bool help = false;
 };
@@ -111,12 +111,7 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (a == "--trace-out") {
       o.trace_out = need(i, a);
     } else if (a == "--trace-format") {
-      o.trace_format = need(i, a);
-      if (o.trace_format != "jsonl" && o.trace_format != "chrome" &&
-          o.trace_format != "text") {
-        throw std::invalid_argument("unknown --trace-format " +
-                                    o.trace_format);
-      }
+      o.trace_format = dmx::obs::parse_trace_format(need(i, a));
     } else if (a == "--list") {
       o.list = true;
     } else if (a == "--help") {
@@ -200,10 +195,7 @@ int run_replay(const Options& o) {
       std::cerr << "cannot open --trace-out file '" << o.trace_out << "'\n";
       return 2;
     }
-    dmx::obs::TraceFormat fmt = dmx::obs::TraceFormat::kJsonl;
-    if (o.trace_format == "chrome") fmt = dmx::obs::TraceFormat::kChrome;
-    if (o.trace_format == "text") fmt = dmx::obs::TraceFormat::kText;
-    sink = dmx::obs::make_format_sink(fmt, trace_file);
+    sink = dmx::obs::make_format_sink(o.trace_format, trace_file);
   }
 
   const dmx::verify::ReplayResult res = dmx::verify::replay(cex, sink);
