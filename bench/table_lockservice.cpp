@@ -5,8 +5,7 @@
 // lock-manager scenario guards thousands.  Each ladder rung Zipf-splits the
 // aggregate demand over more resources: hot shards (demand at or above the
 // per-shard mean) run the paper's arbiter token-passing with a full client
-// population, the long cold tail runs Raymond's tree algorithm over a
-// smaller one.  Per-shard SLOs come from the obs/span.hpp lifecycle
+// population, the long cold tail runs path reversal over a smaller one.  Per-shard SLOs come from the obs/span.hpp lifecycle
 // decomposition (grant_wait = submit -> granted): the table reports the
 // service-wide worst p99 time-to-grant, the hottest shard's p99, and the
 // worst per-tenant Jain fairness.
@@ -60,7 +59,6 @@ dmx::harness::LockServiceConfig rung_config(std::size_t resources,
   ls.hot_nodes = 16;
   ls.cold_nodes = 4;
   ls.think_mean = 1.0;
-  ls.batch_size = 16;
   ls.seed = 42;
   return ls;
 }

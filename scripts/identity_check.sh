@@ -13,7 +13,9 @@
 #    without a rotating monitor, the suppress_self_broadcast ablation,
 #    loss + recovery for both variants, the reliable transport, a
 #    crash/restart campaign, a partition with and without the quorum guard,
-#    and a 64-resource lock service;
+#    a 64-resource lock service, and a 16-resource one whose hot shards
+#    see many demands arrive at one instant (it tells apart any change to
+#    the order in which such demands enter the protocol);
 #  - the three README dmx_trace scenarios, and a crash + restart trace with
 #    its JSONL trace file;
 #  - the starvation-free dmx_verify worlds;
@@ -73,8 +75,9 @@ run_all() {
                        --seeds 2 "${RECOVERY[@]}" --param recovery_quorum=1 \
                        --fault "$PARTITION"
   sweep lockservice    --resources 64 --zipf-s 0.9 --n 6 --lambda 2.0 \
-                       --requests 4000 --batch 8 \
+                       --requests 4000 \
                        --shard-algo hot=arbiter-tp,cold=path-reversal
+  sweep lockservice_ties --resources 16 --requests 500000 --n 16 --jobs 4
 
   local trace="$BUILD/tools/dmx_trace"
   "$trace" --n 5 --unit-times --submit 1:0 --submit 4:0.2 --submit 3:1.9 \

@@ -71,6 +71,14 @@ std::pair<std::string, std::string> split_kv(const std::string& flag,
   return {value.substr(0, eq), value.substr(eq + 1)};
 }
 
+/// Throws std::invalid_argument listing every configuration error, if any.
+void throw_if_invalid(const std::vector<std::string>& errors) {
+  if (errors.empty()) return;
+  std::string msg = "invalid configuration:";
+  for (const std::string& e : errors) msg += "\n  - " + e;
+  throw std::invalid_argument(msg);
+}
+
 /// Flags of the single-CS sweep that the lock-service scenario has no use
 /// for.  Each one set away from its default is reported instead of being
 /// silently dropped.
@@ -117,14 +125,7 @@ int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
   cfg.zipf_s = opts.zipf_s;
   cfg.shard_algo_hot = opts.shard_algo_hot;
   cfg.shard_algo_cold = opts.shard_algo_cold;
-  {
-    const std::vector<std::string> errors = cfg.validate();
-    if (!errors.empty()) {
-      os << "invalid configuration:\n";
-      for (const std::string& e : errors) os << "  - " << e << "\n";
-      return 2;
-    }
-  }
+  throw_if_invalid(cfg.validate());
 
   LockServiceConfig ls;
   ls.n_resources = opts.n_resources;
@@ -137,7 +138,6 @@ int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
   ls.t_msg = opts.t_msg;
   ls.t_exec = opts.t_exec;
   ls.think_mean = 1.0 / opts.lambdas.front();
-  ls.batch_size = opts.batch;
   ls.params = opts.params;
   ls.seed = seed_schedule(cfg, 0);
   ls.jobs = opts.jobs;
@@ -149,8 +149,7 @@ int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
   os << "lock service: " << opts.n_resources << " resources  zipf_s="
      << Table::num(opts.zipf_s, 2) << "  demand=" << opts.requests
      << "  hot=" << opts.shard_algo_hot << "/" << opts.n_nodes
-     << "  cold=" << opts.shard_algo_cold << "/" << ls.cold_nodes
-     << "  batch=" << opts.batch << "\n";
+     << "  cold=" << opts.shard_algo_cold << "/" << ls.cold_nodes << "\n";
 
   // Shards sorted hottest-first for the report; CSV mode emits every shard,
   // the pretty table the head of the ranking.
@@ -212,8 +211,8 @@ int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
     result.lock_service = std::make_shared<const LockServiceReport>(report);
     std::ofstream manifest(opts.emit_json);
     if (!manifest) {
-      os << "cannot open --emit-json file '" << opts.emit_json << "'\n";
-      return 2;
+      throw std::invalid_argument("cannot open --emit-json file '" +
+                                  opts.emit_json + "'");
     }
     write_run_manifest(manifest, {RunRecord{cfg, result}});
   }
@@ -270,7 +269,6 @@ usage: dmx_sweep [flags]
   --zipf-s S             Zipf popularity skew          [0.9]
   --shard-algo SPEC      per-shard algorithms, e.g.
                          hot=arbiter-tp,cold=path-reversal (key alone ok)
-  --batch B              LockSpace demand batching     [16] (0 = unbatched)
   --trace-out FILE       write a structured event trace of the sweep's
                          first run (first lambda, first seed)
   --trace-format FMT     jsonl | chrome | text         [jsonl]
@@ -388,8 +386,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
         if (comma == std::string::npos) break;
         start = comma + 1;
       }
-    } else if (a == "--batch") {
-      o.batch = static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
     } else if (a == "--trace-out") {
       o.trace_out = need_value(i++, a);
     } else if (a == "--trace-format") {
@@ -416,14 +412,11 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     return 0;
   }
   if (opts.n_resources > 1) {
-    const std::vector<std::string> ignored = lock_service_ignored_flags(opts);
-    if (!ignored.empty()) {
-      os << "invalid configuration:\n";
-      for (const std::string& flag : ignored) {
-        os << "  - " << flag << " does not apply with --resources > 1\n";
-      }
-      return 2;
+    std::vector<std::string> ignored = lock_service_ignored_flags(opts);
+    for (std::string& flag : ignored) {
+      flag += " does not apply with --resources > 1";
     }
+    throw_if_invalid(ignored);
   }
   // File streams must outlive the sinks writing to them: the Chrome-trace
   // sink closes its JSON envelope in its destructor, so trace_file is
@@ -433,8 +426,8 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
   if (!opts.trace_out.empty()) {
     trace_file.open(opts.trace_out);
     if (!trace_file) {
-      os << "cannot open --trace-out file '" << opts.trace_out << "'\n";
-      return 2;
+      throw std::invalid_argument("cannot open --trace-out file '" +
+                                  opts.trace_out + "'");
     }
     trace_sink = obs::make_format_sink(opts.trace_format, trace_file);
   }
@@ -489,12 +482,7 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     // Surface every configuration problem (unknown algorithm, malformed
     // fault plan, bad loss spec, a NaN rate, ...) before committing to a
     // sweep.
-    if (const std::vector<std::string> errors = cfg.validate();
-        !errors.empty()) {
-      os << "invalid configuration:\n";
-      for (const std::string& e : errors) os << "  - " << e << "\n";
-      return 2;
-    }
+    throw_if_invalid(cfg.validate());
     for (std::size_t s = 0; s < opts.seeds; ++s) {
       ExperimentConfig run_cfg = cfg;
       run_cfg.seed = seed_schedule(cfg, s);
@@ -610,8 +598,8 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
   if (!opts.emit_json.empty()) {
     std::ofstream manifest(opts.emit_json);
     if (!manifest) {
-      os << "cannot open --emit-json file '" << opts.emit_json << "'\n";
-      return 2;
+      throw std::invalid_argument("cannot open --emit-json file '" +
+                                  opts.emit_json + "'");
     }
     write_run_manifest(manifest, records);
   }

@@ -29,7 +29,6 @@
 //   --shard-algo SPEC       per-shard algorithm choice, e.g.
 //                           hot=arbiter-tp,cold=path-reversal (either key
 //                           may be given alone)
-//   --batch B               LockSpace demand batching (0 = unbatched)
 //   --trace-out FILE        structured event trace of the first run
 //   --trace-format FMT      jsonl | chrome | text   (default jsonl)
 //   --emit-json FILE        machine-readable run manifest (dmx.run.v1)
@@ -78,7 +77,6 @@ struct CliOptions {
   double zipf_s = 0.9;  ///< Zipf skew across resources (0 = uniform).
   std::string shard_algo_hot = "arbiter-tp";
   std::string shard_algo_cold = "path-reversal";
-  std::size_t batch = 16;  ///< LockSpace demand batching (0 = unbatched).
   /// Structured trace of the sweep's first run (first lambda, first seed);
   /// empty = no trace.  Format: "jsonl", "chrome" (Perfetto-loadable), or
   /// "text" (the human-readable dmx_trace format).
@@ -113,6 +111,8 @@ std::string cli_usage();
 
 /// Runs the sweep described by the options and writes the report to `os`.
 /// Returns a process exit code (non-zero if any run was unsafe or stuck).
+/// Throws std::invalid_argument for a configuration error, naming every
+/// problem before anything runs, or for an output file it cannot open.
 int run_cli(const CliOptions& opts, std::ostream& os);
 
 }  // namespace dmx::harness

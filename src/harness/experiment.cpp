@@ -1,5 +1,6 @@
 #include "harness/experiment.hpp"
 
+#include <climits>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -77,6 +78,60 @@ std::uint64_t auto_event_bound(const ExperimentConfig& cfg) {
   return static_cast<std::uint64_t>(bound);
 }
 
+/// The reliable transport of a run: the defaults scaled to t_msg, each
+/// overridden by its param (ack_delay, rto_initial, rto_max, rto_backoff,
+/// rto_jitter, max_retries).  A bad value appends an error naming its key
+/// and leaves the default in place.
+net::ReliableTransportConfig reliable_transport_config(
+    const ExperimentConfig& cfg, std::vector<std::string>& errors) {
+  net::ReliableTransportConfig tc =
+      net::ReliableTransportConfig::scaled_to(sim::SimTime::units(cfg.t_msg));
+  // Written so NaN and infinities fail `ok` along with out-of-range values.
+  const auto read = [&cfg, &errors](const char* key, const char* rule,
+                                    auto ok) -> std::optional<double> {
+    if (!cfg.params.has(key)) return std::nullopt;
+    double v = 0.0;
+    try {
+      v = cfg.params.get_num(key, 0.0);
+    } catch (const std::invalid_argument& e) {
+      errors.emplace_back(e.what());
+      return std::nullopt;
+    }
+    if (!(std::isfinite(v) && ok(v))) {
+      errors.push_back(std::string("param ") + key + " must be " + rule +
+                       ", got " + std::to_string(v));
+      return std::nullopt;
+    }
+    return v;
+  };
+  const auto non_negative = [](double v) { return v >= 0.0; };
+  if (const auto v = read("ack_delay", "finite and >= 0", non_negative)) {
+    tc.ack_delay = sim::SimTime::units(*v);
+  }
+  if (const auto v = read("rto_initial", "finite and > 0",
+                          [](double x) { return x > 0.0; })) {
+    tc.rto_initial = sim::SimTime::units(*v);
+  }
+  if (const auto v = read("rto_max", "finite and >= 0", non_negative)) {
+    tc.rto_max = sim::SimTime::units(*v);
+  }
+  if (const auto v = read("rto_backoff", "finite and >= 1",
+                          [](double x) { return x >= 1.0; })) {
+    tc.backoff_factor = *v;
+  }
+  if (const auto v = read("rto_jitter", "finite and >= 0", non_negative)) {
+    tc.jitter_frac = *v;
+  }
+  if (const auto v = read("max_retries", "a whole number in [0, INT_MAX]",
+                          [](double x) {
+                            return x >= 0.0 && x == std::floor(x) &&
+                                   x <= static_cast<double>(INT_MAX);
+                          })) {
+    tc.max_retries = static_cast<int>(*v);
+  }
+  return tc;
+}
+
 double auto_stall_threshold(const ExperimentConfig& cfg) {
   // Must comfortably exceed the longest legitimate service pause: a node's
   // worst-case queueing plus one complete recovery episode (token timeout,
@@ -124,6 +179,11 @@ std::vector<std::string> ExperimentConfig::validate() const {
     errors.emplace_back(
         "non-constant delay model needs a positive delay_jitter");
   }
+  if (delay_kind == DelayKind::kConstant && delay_jitter > 0.0) {
+    errors.push_back("delay_jitter needs a non-constant delay model "
+                     "(uniform or exponential), got " +
+                     std::to_string(delay_jitter) + " with the constant one");
+  }
   for (const auto& [type, p] : loss_by_type) {
     // Every shipped message type registers its kind during static
     // initialization, so an unknown name here is a configuration typo (e.g.
@@ -143,6 +203,9 @@ std::vector<std::string> ExperimentConfig::validate() const {
     } catch (const std::exception& e) {
       errors.push_back(std::string("fault plan: ") + e.what());
     }
+  }
+  if (transport == TransportKind::kReliable) {
+    (void)reliable_transport_config(*this, errors);
   }
   if (n_resources == 0) errors.emplace_back("n_resources must be at least 1");
   check_non_negative(errors, "zipf_s", zipf_s);
@@ -187,19 +250,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   std::optional<net::ReliableTransportConfig> reliable;
   if (cfg.transport == TransportKind::kReliable) {
-    auto tc = net::ReliableTransportConfig::scaled_to(
-        sim::SimTime::units(cfg.t_msg));
-    tc.ack_delay = sim::SimTime::units(
-        cfg.params.get_num("ack_delay", tc.ack_delay.to_units()));
-    tc.rto_initial = sim::SimTime::units(
-        cfg.params.get_num("rto_initial", tc.rto_initial.to_units()));
-    tc.rto_max = sim::SimTime::units(
-        cfg.params.get_num("rto_max", tc.rto_max.to_units()));
-    tc.backoff_factor = cfg.params.get_num("rto_backoff", tc.backoff_factor);
-    tc.jitter_frac = cfg.params.get_num("rto_jitter", tc.jitter_frac);
-    tc.max_retries = static_cast<int>(
-        cfg.params.get_num("max_retries", tc.max_retries));
-    reliable = tc;
+    std::vector<std::string> unused;  // validate() has passed
+    reliable = reliable_transport_config(cfg, unused);
   }
   mutex::MutexCluster nodes(cfg.algorithm, cfg.n_nodes, cfg.params,
                             cfg.t_exec, cfg.seed ^ 0x5eedULL,

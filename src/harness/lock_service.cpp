@@ -7,8 +7,11 @@
 
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
-#include "mutex/lock_space.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/registry.hpp"
+#include "net/delay_model.hpp"
+#include "obs/span.hpp"
+#include "obs/tracer.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/closed_loop.hpp"
 #include "workload/zipf.hpp"
@@ -26,8 +29,11 @@ std::string join_errors(const std::vector<std::string>& errors) {
   return msg;
 }
 
-/// One shard, in isolation: its own LockSpace (1 resource) driven by a
-/// closed-loop client population until the shard's demand budget drains.
+/// Upper edge of every shard's grant_wait histogram (time units).
+constexpr double kGrantHistMax = 1000.0;
+
+/// One shard, in isolation: its own MutexCluster driven by a closed-loop
+/// client population until the shard's demand budget drains.
 ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
                       std::uint64_t demand, bool hot) {
   ShardResult out;
@@ -47,63 +53,74 @@ ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
   const std::uint64_t shard_seed =
       cfg.seed + 1000 * static_cast<std::uint64_t>(r) + 17;
 
-  mutex::LockSpaceBuilder builder;
-  builder.resources(1)
-      .nodes(out.nodes)
-      .algorithm(out.algorithm)
-      .t_msg(cfg.t_msg)
-      .t_exec(cfg.t_exec)
-      .seed(shard_seed)
-      .batch(cfg.batch_size)
-      .collect_spans()
-      .span_hist_max(cfg.span_hist_max);
-  if (cfg.trace_sink && r == cfg.trace_shard) {
-    builder.trace_sink(cfg.trace_sink);
-  }
-  mutex::LockSpaceSpec spec = builder.build();
-  spec.params = cfg.params;
-  mutex::LockSpace space(spec);
+  // Sink chain: SpanCollector [-> the trace sink, on trace_shard only].
+  const auto spans = std::make_shared<obs::SpanCollector>(
+      r == cfg.trace_shard ? cfg.trace_sink : nullptr, kGrantHistMax);
+  mutex::MutexCluster nodes(
+      out.algorithm, out.nodes, cfg.params, cfg.t_exec, shard_seed * 7919,
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(cfg.t_msg)),
+      {.tracer = obs::Tracer(spans)});
+  nodes.start();
+  sim::Simulator& sim = nodes.sim();
 
-  // Closed-loop clients: one per node, submitting through the redesigned
-  // acquire() API; the on_released hook is the resubmission signal.
+  // Same-timestamp flush: demands that arrive at one instant enter the
+  // protocol together, in arrival order, from one zero-delay event.
+  std::vector<std::size_t> arrived;
+  const auto flush = [&nodes, &arrived] {
+    for (const std::size_t i : std::exchange(arrived, {})) {
+      nodes.driver(i).submit();
+    }
+  };
+
+  // Closed-loop clients, one per node; a driver's completion callback is
+  // the client's resubmission signal.
   std::vector<workload::ClosedLoopGenerator::SubmitFn> submit;
   std::vector<std::unique_ptr<workload::ArrivalProcess>> think;
   submit.reserve(out.nodes);
   think.reserve(out.nodes);
   for (std::size_t i = 0; i < out.nodes; ++i) {
-    submit.emplace_back([&space, i] { space.acquire(i, 0); });
+    submit.emplace_back([&sim, &arrived, &flush, i] {
+      if (arrived.empty()) sim.schedule_after(sim::SimTime::zero(), flush);
+      arrived.push_back(i);
+    });
     think.push_back(
         std::make_unique<workload::PoissonArrivals>(1.0 / cfg.think_mean));
   }
-  workload::ClosedLoopGenerator gen(space.simulator(), std::move(submit),
-                                    std::move(think), demand,
-                                    shard_seed * 31 + 7);
-  space.set_on_released([&gen](const mutex::LockEvent& e) {
-    gen.notify_complete(e.node);
-  });
+  workload::ClosedLoopGenerator gen(sim, std::move(submit), std::move(think),
+                                    demand, shard_seed * 31 + 7);
+  for (std::size_t i = 0; i < out.nodes; ++i) {
+    nodes.driver(i).set_completion_callback(
+        [&gen, i](const mutex::CsRequest&) { gen.notify_complete(i); });
+  }
   gen.start();
-  space.simulator().run();
+  sim.run();
 
-  out.completed = space.completed(0);
-  out.messages = space.messages(0);
+  out.completed = nodes.total_completed();
+  out.messages = nodes.network().stats().sent;
   out.messages_per_cs =
       out.completed == 0
           ? 0.0
           : static_cast<double>(out.messages) / static_cast<double>(out.completed);
-  out.safety_violations = space.safety_violations();
+  out.safety_violations = nodes.monitor().violations();
   out.drained = out.completed == demand;
-  out.sim_duration_units = space.simulator().now().to_units();
+  out.sim_duration_units = sim.now().to_units();
 
-  const obs::SpanReport* spans = space.span_report(0);
-  if (spans != nullptr && spans->completed > 0) {
-    out.grant_mean = spans->grant_wait.moments.mean();
-    out.grant_p50 = spans->grant_wait.hist.quantile(0.50);
-    out.grant_p99 = spans->grant_wait.hist.quantile(0.99);
+  const obs::SpanReport& report = spans->report();
+  if (report.completed > 0) {
+    out.grant_mean = report.grant_wait.moments.mean();
+    out.grant_p50 = report.grant_wait.hist.quantile(0.50);
+    out.grant_p99 = report.grant_wait.hist.quantile(0.99);
   }
   // With fewer demands than clients, even a perfectly fair service leaves
   // some clients at zero; the index is not meaningful there.
-  out.fairness =
-      demand < out.nodes ? 1.0 : jain_fairness(space.completions_per_node(0));
+  if (demand >= out.nodes) {
+    std::vector<std::uint64_t> per_client;
+    per_client.reserve(out.nodes);
+    for (std::size_t i = 0; i < out.nodes; ++i) {
+      per_client.push_back(nodes.driver(i).completed());
+    }
+    out.fairness = jain_fairness(per_client);
+  }
   return out;
 }
 
@@ -128,9 +145,6 @@ std::vector<std::string> LockServiceConfig::validate() const {
   }
   if (!(std::isfinite(think_mean) && think_mean > 0.0)) {
     errors.push_back("think_mean must be finite and > 0");
-  }
-  if (!(std::isfinite(span_hist_max) && span_hist_max > 0.0)) {
-    errors.push_back("span_hist_max must be finite and > 0");
   }
   if (!registry.contains(hot_algorithm)) {
     errors.push_back("hot algorithm not registered: " + hot_algorithm);

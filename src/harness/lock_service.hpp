@@ -1,5 +1,5 @@
-// Sharded lock-service scenario: many Zipf-skewed resources behind the
-// LockSpace API, fanned across cores.
+// Sharded lock-service scenario: many Zipf-skewed resources, one
+// MutexCluster each, fanned across cores.
 //
 // The paper evaluates one critical section under uniform load; a real lock
 // service guards thousands of resources whose popularity follows a heavy
@@ -9,18 +9,19 @@
 //     `n_resources` by workload::zipf_demand_vector — THE canonical Zipf
 //     split; every consumer (bench, CLI, tests) sees the same per-shard
 //     demand vector for a given (resources, skew, total, seed).
-//   * Each resource is one shard: a self-contained mutex::LockSpace (own
-//     simulator, network, per-client protocol instances).  Hot shards
-//     (demand >= the mean, i.e. demand * n_resources >= total) run the
-//     hot algorithm over `hot_nodes` clients — the paper's arbiter
-//     token-passing by default, built for contention; cold shards run a
-//     cheaper topology algorithm (path-reversal by default) over fewer
-//     clients.
+//   * Each resource is one shard: a self-contained mutex::MutexCluster
+//     (own simulator, network, per-client protocol instances) built the
+//     same way as the sweep's.  Hot shards (demand >= the mean, i.e.
+//     demand * n_resources >= total) run the hot algorithm over
+//     `hot_nodes` clients — the paper's arbiter token-passing by default,
+//     built for contention; cold shards run a cheaper topology algorithm
+//     (path-reversal by default) over fewer clients.
 //   * Each shard is driven by a closed-loop client population
-//     (workload::ClosedLoopGenerator, generic SubmitFn binding): every
-//     client thinks ~Exp(think_mean), calls LockSpace::acquire, and
-//     resubmits when its on_released notification arrives.  Demands enter
-//     the protocol through the space's batching layer (batch_size).
+//     (workload::ClosedLoopGenerator): every client thinks ~Exp(think_mean),
+//     submits to its node's CsDriver, and resubmits when that driver
+//     reports the critical section complete.  Demands that arrive at one
+//     instant enter the protocol together, in arrival order, from one
+//     zero-delay event (the same-timestamp flush).
 //   * Shards are independent simulations, so ParallelRunner::run_indexed
 //     fans them across `jobs` workers with byte-identical per-shard
 //     results in shard order for ANY job count: shard r always runs with
@@ -58,15 +59,12 @@ struct LockServiceConfig {
   /// Mean client think time between a release and the next acquire
   /// (exponential); the closed-loop load knob (smaller = hotter).
   double think_mean = 1.0;
-  /// LockSpace demand batching (0 = unbatched).
-  std::size_t batch_size = 16;
   mutex::ParamSet params;  ///< Forwarded to every shard's algorithm.
   std::uint64_t seed = 42;
   /// Shard fan-out workers: 1 = serial, 0 = one per hardware thread.
   /// Execution knob only — per-shard results are byte-identical for every
   /// value.
   std::size_t jobs = 1;
-  double span_hist_max = 1000.0;  ///< grant_wait histogram upper edge.
   /// Structured trace of ONE shard (the Perfetto drill-down view): the
   /// sink receives every protocol/lifecycle event of shard `trace_shard`.
   /// Exactly one shard writes to it, from whichever worker runs that
@@ -75,7 +73,7 @@ struct LockServiceConfig {
   std::size_t trace_shard = 0;  ///< Shard 0 = the Zipf-hottest resource.
 
   /// Every configuration problem at once (same contract as
-  /// ExperimentConfig::validate / LockSpaceSpec::validate); empty = runnable.
+  /// ExperimentConfig::validate); empty = runnable.
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

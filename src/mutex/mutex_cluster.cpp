@@ -11,10 +11,8 @@ MutexCluster::MutexCluster(const std::string& algorithm, std::size_t n,
                            std::uint64_t seed,
                            std::unique_ptr<net::DelayModel> delay,
                            MutexClusterOptions options)
-    : cluster_(n, std::move(delay), seed, std::move(options.tracer),
-               options.simulator) {
+    : cluster_(n, std::move(delay), seed, std::move(options.tracer)) {
   if (options.reliable) cluster_.use_reliable_transport(*options.reliable);
-  RequestIdSource* ids = options.ids != nullptr ? options.ids : &ids_;
   drivers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const net::NodeId id{static_cast<std::int32_t>(i)};
@@ -24,7 +22,7 @@ MutexCluster::MutexCluster(const std::string& algorithm, std::size_t n,
     cluster_.install(id, std::move(algo));
     drivers_.push_back(std::make_unique<CsDriver>(
         cluster_.simulator(), node, sim::SimTime::units(t_exec), &monitor_,
-        ids));
+        &ids_));
     drivers_.back()->set_tracer(cluster_.tracer());
   }
 }

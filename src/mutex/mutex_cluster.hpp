@@ -2,10 +2,10 @@
 //
 // N instances of a registered algorithm, installed in a runtime::Cluster,
 // each under a CsDriver that reports to one shared SafetyMonitor and draws
-// request ids from one sequence.  The sweep (harness::run_experiment), the
-// lock service (one per LockSpace shard), the verifier's World, dmx_trace,
-// the examples and the tests all build their nodes here, so every
-// algorithm runs under identical conditions by construction.
+// request ids from one sequence.  The sweep (harness::run_experiment), every
+// lock-service shard, the verifier's World, dmx_trace, the examples and the
+// tests all build their nodes here, so every algorithm runs under identical
+// conditions by construction.
 //
 // Crashes need no extra step: crash the node through cluster() (directly,
 // via crash_at() or from a fault::CampaignRunner) and its driver voids the
@@ -36,11 +36,6 @@ struct MutexClusterOptions {
   obs::Tracer tracer{};
   /// Interpose the reliable transport beneath every node.
   std::optional<net::ReliableTransportConfig> reliable{};
-  /// Externally owned clock and request-id sequence, shared by several
-  /// clusters (one per LockSpace resource); both must outlive the cluster.
-  /// Null = the cluster owns its own.
-  sim::Simulator* simulator = nullptr;
-  RequestIdSource* ids = nullptr;
 };
 
 class MutexCluster {
@@ -82,7 +77,7 @@ class MutexCluster {
 
  private:
   SafetyMonitor monitor_;
-  RequestIdSource ids_;  ///< Unused when the options share one.
+  RequestIdSource ids_;
   runtime::Cluster cluster_;
   std::vector<std::unique_ptr<CsDriver>> drivers_;
 };

@@ -3,19 +3,15 @@
 namespace dmx::runtime {
 
 Cluster::Cluster(std::size_t n_nodes, std::unique_ptr<net::DelayModel> delay,
-                 std::uint64_t seed, obs::Tracer tracer,
-                 sim::Simulator* shared_sim)
-    : owned_sim_(shared_sim != nullptr ? nullptr
-                                       : std::make_unique<sim::Simulator>()),
-      sim_(shared_sim != nullptr ? shared_sim : owned_sim_.get()),
-      net_(std::make_unique<net::Network>(*sim_, n_nodes, std::move(delay),
+                 std::uint64_t seed, obs::Tracer tracer)
+    : net_(std::make_unique<net::Network>(sim_, n_nodes, std::move(delay),
                                           seed)),
       tracer_(std::move(tracer)), processes_(n_nodes), endpoints_(n_nodes),
       seed_(seed) {
   // Reserve event storage for a broadcast-heavy steady state (one in-flight
   // message per node plus timer slack) so large-N runs build their working
   // set once instead of growing it mid-run.
-  sim_->reserve(2 * n_nodes + 64);
+  sim_.reserve(2 * n_nodes + 64);
 }
 
 void Cluster::use_reliable_transport(net::ReliableTransportConfig cfg) {

@@ -18,19 +18,14 @@ namespace dmx::runtime {
 /// manages their lifecycle (start / crash / restart).
 class Cluster {
  public:
-  /// A non-null `shared_sim` puts the cluster on an externally owned
-  /// simulator (several clusters on one virtual clock, e.g. one network per
-  /// lock resource in mutex::LockSpace), which must outlive it; null gives
-  /// the cluster its own.
   Cluster(std::size_t n_nodes, std::unique_ptr<net::DelayModel> delay,
-          std::uint64_t seed, obs::Tracer tracer = {},
-          sim::Simulator* shared_sim = nullptr);
+          std::uint64_t seed, obs::Tracer tracer = {});
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
   [[nodiscard]] std::size_t size() const { return processes_.size(); }
-  [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] net::Network& network() { return *net_; }
   [[nodiscard]] const obs::Tracer& tracer() const { return tracer_; }
 
@@ -71,8 +66,7 @@ class Cluster {
   void restart_node(net::NodeId id);
 
  private:
-  std::unique_ptr<sim::Simulator> owned_sim_;  ///< Null when shared.
-  sim::Simulator* sim_;
+  sim::Simulator sim_;
   std::unique_ptr<net::Network> net_;
   obs::Tracer tracer_;
   std::vector<std::unique_ptr<Process>> processes_;

@@ -8,13 +8,12 @@
 // potentially-throwing-on-move callables transparently fall back to the
 // heap; behaviour is identical either way.
 //
-// SmallCallback is templated on the call signature so typed notification
-// hooks (e.g. mutex::LockSpace's on_granted/on_released, which pass a
-// LockEvent) ride the same zero-allocation plane as the classic void()
-// simulator events; SmallFn remains the alias every event-scheduling call
-// site uses.  The type is move-only (closures holding PayloadPtr refcounts
-// must not be silently duplicated) and deliberately tiny in API: construct
-// from any compatible callable, test for emptiness, invoke.
+// SmallCallback is templated on the call signature; SmallFn, the void()
+// instance, is the simulator's event type and the alias every
+// event-scheduling call site uses.  The type is move-only (closures holding
+// PayloadPtr refcounts must not be silently duplicated) and deliberately
+// tiny in API: construct from any compatible callable, test for emptiness,
+// invoke.
 #pragma once
 
 #include <cstddef>

@@ -4,37 +4,6 @@
 
 namespace dmx::workload {
 
-namespace {
-
-std::vector<ClosedLoopGenerator::SubmitFn> wrap_drivers(
-    const std::vector<mutex::CsDriver*>& drivers) {
-  std::vector<ClosedLoopGenerator::SubmitFn> submit;
-  submit.reserve(drivers.size());
-  for (mutex::CsDriver* d : drivers) {
-    if (d == nullptr) {
-      throw std::invalid_argument("ClosedLoopGenerator: null driver");
-    }
-    submit.emplace_back([d] { d->submit(); });
-  }
-  return submit;
-}
-
-}  // namespace
-
-ClosedLoopGenerator::ClosedLoopGenerator(
-    sim::Simulator& sim, std::vector<mutex::CsDriver*> drivers,
-    std::vector<std::unique_ptr<ArrivalProcess>> think,
-    std::uint64_t total_requests, std::uint64_t seed)
-    : ClosedLoopGenerator(sim, wrap_drivers(drivers), std::move(think),
-                          total_requests, seed) {
-  // Resubmission loop: the next think period starts when a CS completes.
-  for (std::size_t i = 0; i < drivers.size(); ++i) {
-    const std::size_t client = i;
-    drivers[i]->set_completion_callback(
-        [this, client](const mutex::CsRequest&) { notify_complete(client); });
-  }
-}
-
 ClosedLoopGenerator::ClosedLoopGenerator(
     sim::Simulator& sim, std::vector<SubmitFn> submit,
     std::vector<std::unique_ptr<ArrivalProcess>> think,

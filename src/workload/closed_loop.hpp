@@ -7,13 +7,10 @@
 // matches the paper's heavy-load analysis ("all nodes will have at least
 // one pending request") exactly when think time is zero.
 //
-// Two client bindings:
-//  * the historical one drives mutex::CsDriver instances directly (one
-//    client per driver, completion detected via the driver callback);
-//  * the generic one drives opaque submit functions and is told about
-//    completions via notify_complete(client) — this is how the sharded
-//    lock-service scenario runs closed loops against the LockSpace API
-//    (acquire + on_released hook) without reaching into its drivers.
+// Each client is an opaque submit function; the caller reports a finished
+// demand through notify_complete(client), typically from the completion
+// callback of that client's mutex::CsDriver (as the sharded lock service
+// does for every shard).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "mutex/cs_driver.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "workload/arrivals.hpp"
@@ -30,22 +26,12 @@ namespace dmx::workload {
 
 class ClosedLoopGenerator {
  public:
-  /// One client's demand entry point (e.g. LockSpace::acquire bound to a
-  /// fixed node+resource).
+  /// One client's demand entry point (e.g. a CsDriver's submit()).
   using SubmitFn = std::function<void()>;
 
-  /// Historical binding: each driver is one client; a client resubmits
-  /// `think` after each CS completion (the generator owns the drivers'
-  /// completion callbacks).  Stops after `total_requests` global
-  /// submissions.
-  ClosedLoopGenerator(sim::Simulator& sim,
-                      std::vector<mutex::CsDriver*> drivers,
-                      std::vector<std::unique_ptr<ArrivalProcess>> think,
-                      std::uint64_t total_requests, std::uint64_t seed);
-
-  /// Generic binding: each submit function is one client; the caller must
-  /// call notify_complete(client) when that client's demand finishes (e.g.
-  /// from a LockSpace on_released hook).
+  /// Each submit function is one client; a client resubmits `think` after
+  /// the caller reports its demand finished through notify_complete().
+  /// Stops after `total_requests` global submissions.
   ClosedLoopGenerator(sim::Simulator& sim, std::vector<SubmitFn> submit,
                       std::vector<std::unique_ptr<ArrivalProcess>> think,
                       std::uint64_t total_requests, std::uint64_t seed);
@@ -56,8 +42,8 @@ class ClosedLoopGenerator {
   void start();
   void stop_node(std::size_t node);
 
-  /// Completion signal for the generic binding: client `client` finished
-  /// its outstanding demand; think, then resubmit (budget permitting).
+  /// Completion signal: client `client` finished its outstanding demand;
+  /// think, then resubmit (budget permitting).
   void notify_complete(std::size_t client);
 
   [[nodiscard]] std::uint64_t submitted() const { return submitted_; }

@@ -144,11 +144,25 @@ TEST(Cli, RunListPrintsAlgorithms) {
   EXPECT_NE(os.str().find("suzuki-kasami"), std::string::npos);
 }
 
+/// The message of the configuration error run_cli throws; fails the test
+/// when it runs instead, or when it wrote anything to the report stream.
+std::string config_error(const CliOptions& o) {
+  std::ostringstream os;
+  try {
+    (void)run_cli(o, os);
+    ADD_FAILURE() << "run_cli accepted the configuration";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(os.str(), "");
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Cli, RunUnknownAlgorithmFails) {
   CliOptions o;
   o.algorithm = "nope";
-  std::ostringstream os;
-  EXPECT_EQ(run_cli(o, os), 2);
+  EXPECT_NE(config_error(o).find("unknown algorithm \"nope\""),
+            std::string::npos);
 }
 
 TEST(Cli, RunSmallSweepProducesTable) {
@@ -172,16 +186,13 @@ TEST(Cli, ParsesLockServiceFlags) {
   EXPECT_DOUBLE_EQ(d.zipf_s, 0.9);
   EXPECT_EQ(d.shard_algo_hot, "arbiter-tp");
   EXPECT_EQ(d.shard_algo_cold, "path-reversal");
-  EXPECT_EQ(d.batch, 16u);
 
   const auto o = parse({"--resources", "64", "--zipf-s", "1.2",
-                        "--shard-algo", "hot=suzuki-kasami,cold=centralized",
-                        "--batch", "32"});
+                        "--shard-algo", "hot=suzuki-kasami,cold=centralized"});
   EXPECT_EQ(o.n_resources, 64u);
   EXPECT_DOUBLE_EQ(o.zipf_s, 1.2);
   EXPECT_EQ(o.shard_algo_hot, "suzuki-kasami");
   EXPECT_EQ(o.shard_algo_cold, "centralized");
-  EXPECT_EQ(o.batch, 32u);
   // Partial assignment leaves the other role at its default.
   EXPECT_EQ(parse({"--shard-algo", "cold=centralized"}).shard_algo_hot,
             "arbiter-tp");
@@ -195,7 +206,6 @@ TEST(Cli, LockServiceFlagRejections) {
   EXPECT_THROW(parse({"--shard-algo", "warm=raymond"}),
                std::invalid_argument);  // unknown role key
   EXPECT_THROW(parse({"--shard-algo", "hot"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--batch", "x"}), std::invalid_argument);
 }
 
 TEST(Cli, LockServiceRejectsSweepOnlyFlagsByName) {
@@ -205,16 +215,13 @@ TEST(Cli, LockServiceRejectsSweepOnlyFlagsByName) {
              "--delay", "uniform", "--jitter", "0.01", "--loss",
              "PRIVILEGE=0.5", "--fault", "t=1 crash 0", "--transport",
              "reliable", "--stall", "5", "--max-events", "100"});
-  std::ostringstream os;
-  EXPECT_EQ(run_cli(o, os), 2);
-  const std::string out = os.str();
+  const std::string error = config_error(o);  // nothing ran
   for (const char* flag :
        {"--algo", "--lambda", "--seeds", "--delay", "--jitter", "--loss",
         "--fault", "--transport", "--stall", "--max-events"}) {
-    EXPECT_NE(out.find(std::string("  - ") + flag), std::string::npos)
-        << flag << " not named in:\n" << out;
+    EXPECT_NE(error.find(std::string("  - ") + flag), std::string::npos)
+        << flag << " not named in:\n" << error;
   }
-  EXPECT_EQ(out.find("lock service:"), std::string::npos);  // nothing ran
 }
 
 TEST(Cli, NonFiniteValuesFailUpFrontNamingTheField) {
@@ -227,11 +234,40 @@ TEST(Cli, NonFiniteValuesFailUpFrontNamingTheField) {
        {{"--delay", "uniform", "--jitter", "inf"}, "delay_jitter"},
        {{"--zipf-s", "nan", "--resources", "8"}, "zipf_s"}};
   for (const auto& [args, field] : cases) {
-    std::ostringstream os;
-    EXPECT_EQ(run_cli(parse_cli(args), os), 2) << field;
-    EXPECT_NE(os.str().find(field), std::string::npos) << os.str();
-    EXPECT_EQ(os.str().find("drained"), std::string::npos) << field;
+    const std::string error = config_error(parse_cli(args));
+    EXPECT_NE(error.find(field), std::string::npos) << error;
   }
+}
+
+TEST(Cli, JitterNeedsANonConstantDelay) {
+  const std::string error = config_error(
+      parse({"--jitter", "0.5", "--requests", "300", "--seeds", "1"}));
+  EXPECT_NE(error.find("delay_jitter"), std::string::npos) << error;
+  EXPECT_NE(error.find("constant"), std::string::npos) << error;
+}
+
+TEST(Cli, ReliableTransportKeysFailUpFrontNamingTheKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"rto_initial=nan", "rto_initial"}, {"rto_initial=-1", "rto_initial"},
+      {"rto_initial=0", "rto_initial"},   {"ack_delay=-0.5", "ack_delay"},
+      {"rto_jitter=-5", "rto_jitter"},    {"rto_max=inf", "rto_max"},
+      {"rto_backoff=0.5", "rto_backoff"}, {"max_retries=1e12", "max_retries"},
+      {"max_retries=-1", "max_retries"},  {"max_retries=2.5", "max_retries"},
+      {"ack_delay=soon", "ack_delay"}};
+  for (const auto& [kv, key] : cases) {
+    const std::string error = config_error(
+        parse({"--transport", "reliable", "--param", kv, "--requests", "100",
+               "--seeds", "1"}));
+    EXPECT_NE(error.find(key), std::string::npos) << kv << ": " << error;
+  }
+  // The same keys, in range, run.
+  std::ostringstream os;
+  EXPECT_EQ(run_cli(parse({"--transport", "reliable", "--param",
+                           "rto_initial=0.5", "--param", "max_retries=3",
+                           "--param", "rto_backoff=1", "--requests", "100",
+                           "--seeds", "1"}),
+                    os),
+            0);
 }
 
 TEST(Cli, RunLockServiceProducesShardTable) {

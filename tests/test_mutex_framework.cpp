@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 
 #include "harness/experiment.hpp"
 #include "mutex/cs_driver.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/registry.hpp"
 #include "mutex/safety_monitor.hpp"
 #include "net/delay_model.hpp"
@@ -130,6 +132,37 @@ TEST(CsDriver, QueuedDemandKeepsArrivalTimeForSojourn) {
   EXPECT_DOUBLE_EQ(f.driver->sojourn_time().max(), 1.0);
   // Service time of the second measured from issuance (0.5) -> 0.5.
   EXPECT_DOUBLE_EQ(f.driver->service_time().max(), 0.5);
+}
+
+TEST(CsDriver, GrantAndCompletionCallbacksFireOncePerDemand) {
+  // Closed-loop clients resubmit from the completion callback, so every
+  // demand, queued ones included, must produce exactly one grant and then
+  // exactly one completion.
+  harness::register_builtin_algorithms();
+  MutexCluster nodes(
+      "arbiter-tp", 4, ParamSet{}, 0.1, 3,
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)));
+  std::map<std::uint64_t, int> grants;
+  std::map<std::uint64_t, int> completions;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes.driver(i).set_grant_callback(
+        [&](const CsRequest& r) { ++grants[r.request_id]; });
+    nodes.driver(i).set_completion_callback([&](const CsRequest& r) {
+      EXPECT_EQ(grants[r.request_id], 1) << "completed before its grant";
+      ++completions[r.request_id];
+    });
+  }
+  nodes.start();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes.submit_at(0.0, i);
+    nodes.submit_at(0.0, i);  // queued behind the first
+  }
+  nodes.sim().run();
+  EXPECT_EQ(nodes.total_completed(), 8u);
+  EXPECT_EQ(grants.size(), 8u);
+  EXPECT_EQ(completions.size(), 8u);
+  for (const auto& [id, n] : completions) EXPECT_EQ(n, 1) << "request " << id;
+  for (const auto& [id, n] : grants) EXPECT_EQ(n, 1) << "request " << id;
 }
 
 TEST(CsDriver, SpuriousGrantsIgnoredAndCounted) {

@@ -85,6 +85,7 @@ std::string registered_arbiter_tp() {
 struct ClosedLoopFixture {
   mutex::MutexCluster nodes;
   std::vector<mutex::CsDriver*> dp;
+  std::unique_ptr<workload::ClosedLoopGenerator> gen;
 
   explicit ClosedLoopFixture(std::size_t n)
       : nodes(registered_arbiter_tp(), n, mutex::ParamSet{}, 0.1, 2,
@@ -92,6 +93,24 @@ struct ClosedLoopFixture {
                   sim::SimTime::units(0.1))) {
     for (std::size_t i = 0; i < n; ++i) dp.push_back(&nodes.driver(i));
     nodes.start();
+  }
+
+  /// One client per driver: it submits to its driver and resubmits when
+  /// the driver's completion callback fires.
+  workload::ClosedLoopGenerator& loop(
+      std::vector<std::unique_ptr<workload::ArrivalProcess>> think,
+      std::uint64_t total_requests) {
+    std::vector<workload::ClosedLoopGenerator::SubmitFn> submit;
+    for (mutex::CsDriver* d : dp) submit.emplace_back([d] { d->submit(); });
+    gen = std::make_unique<workload::ClosedLoopGenerator>(
+        nodes.sim(), std::move(submit), std::move(think), total_requests, 4);
+    for (std::size_t i = 0; i < dp.size(); ++i) {
+      dp[i]->set_completion_callback(
+          [g = gen.get(), i](const mutex::CsRequest&) {
+            g->notify_complete(i);
+          });
+    }
+    return *gen;
   }
 };
 
@@ -104,9 +123,7 @@ TEST(ClosedLoop, ZeroThinkTimeSaturatesAtHeavyLoadBound) {
     think.push_back(std::make_unique<workload::DeterministicArrivals>(
         sim::SimTime::ticks(1)));
   }
-  workload::ClosedLoopGenerator gen(f.nodes.sim(), f.dp,
-                                    std::move(think), 10'000, 4);
-  gen.start();
+  f.loop(std::move(think), 10'000).start();
   f.nodes.sim().run();
   const std::uint64_t done = f.nodes.total_completed();
   EXPECT_EQ(done, 10'000u);
@@ -125,8 +142,7 @@ TEST(ClosedLoop, BoundedPopulation) {
   for (int i = 0; i < 4; ++i) {
     think.push_back(std::make_unique<workload::PoissonArrivals>(2.0));
   }
-  workload::ClosedLoopGenerator gen(f.nodes.sim(), f.dp,
-                                    std::move(think), 500, 4);
+  workload::ClosedLoopGenerator& gen = f.loop(std::move(think), 500);
   gen.start();
   f.nodes.sim().run();
   for (const mutex::CsDriver* d : f.dp) {
@@ -144,8 +160,7 @@ TEST(ClosedLoop, StopNodeHaltsItsLoop) {
     think.push_back(std::make_unique<workload::DeterministicArrivals>(
         sim::SimTime::units(1.0)));
   }
-  workload::ClosedLoopGenerator gen(f.nodes.sim(), f.dp,
-                                    std::move(think), 1'000'000, 4);
+  workload::ClosedLoopGenerator& gen = f.loop(std::move(think), 1'000'000);
   gen.stop_node(2);
   gen.start();
   f.nodes.sim().run_until(sim::SimTime::units(20.0));

@@ -231,8 +231,8 @@ TEST(Zipf, DemandVectorDeterministicPin) {
 
 TEST(ClosedLoop, GenericBindingDrivesSubmitFns) {
   // Two clients submitting through opaque functions: each "CS" completes
-  // 0.05 units after submission, signalled back via notify_complete — the
-  // binding the LockSpace on_released hook uses.
+  // 0.05 units after submission, signalled back via notify_complete, as a
+  // CsDriver's completion callback does.
   sim::Simulator sim;
   std::vector<std::uint64_t> per_client(2, 0);
   ClosedLoopGenerator* gen_ptr = nullptr;
