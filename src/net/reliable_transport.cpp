@@ -199,7 +199,9 @@ void ReliableEndpoint::handle_data(const Envelope& env, const RtData& d) {
     apply_ack(env.src, ps, d.cum_ack, d.sack_mask);
   }
 
-  if (d.seq <= ps.cum || ps.buffer.contains(d.seq)) {
+  const auto slot = std::ranges::lower_bound(ps.buffer, d.seq, {},
+                                             &Buffered::seq);
+  if (d.seq <= ps.cum || (slot != ps.buffer.end() && slot->seq == d.seq)) {
     // Duplicate (fault-injected copy, or a retransmission whose original
     // got through).  Suppress, but still ack: the sender may be resending
     // precisely because our ack was lost.
@@ -209,26 +211,37 @@ void ReliableEndpoint::handle_data(const Envelope& env, const RtData& d) {
     return;
   }
 
-  if (d.seq != ps.cum + 1) ++stats_.reorder_buffered;
-  ps.buffer.emplace(d.seq, Buffered{d.inner, env.sent_at, env.msg_id});
-  deliver_ready(env.src, ps);
-  if (down_) return;  // The upcall may have crashed us: no new timers.
-  schedule_ack(env.src);
+  if (d.seq != ps.cum + 1) {  // A gap: park the frame until it is filled.
+    ++stats_.reorder_buffered;
+    ps.buffer.insert(slot, Buffered{d.seq, d.inner, env.sent_at, env.msg_id});
+  } else {
+    ++ps.cum;
+    deliver_up(env.src, d.inner, env.sent_at, env.msg_id);
+    if (down_) return;  // The upcall may have crashed us: no new timers.
+    deliver_ready(env.src, ps);
+  }
+  schedule_ack(env.src);  // A no-op if an upcall crashed us.
+}
+
+void ReliableEndpoint::deliver_up(NodeId peer, PayloadPtr inner,
+                                  sim::SimTime sent_at, std::uint64_t msg_id) {
+  Envelope up;
+  up.src = peer;
+  up.dst = self_;
+  up.sent_at = sent_at;
+  up.delivered_at = sim_.now();
+  up.msg_id = msg_id;
+  up.payload = std::move(inner);
+  upper_.on_message(up);
 }
 
 void ReliableEndpoint::deliver_ready(NodeId peer, PeerState& ps) {
-  while (!ps.buffer.empty() && ps.buffer.begin()->first == ps.cum + 1) {
-    Buffered b = std::move(ps.buffer.begin()->second);
+  while (!ps.buffer.empty() && ps.buffer.front().seq == ps.cum + 1) {
+    // Pop before the upcall: a send it makes piggybacks sack_mask(ps).
+    Buffered b = std::move(ps.buffer.front());
     ps.buffer.erase(ps.buffer.begin());
     ++ps.cum;
-    Envelope up;
-    up.src = peer;
-    up.dst = self_;
-    up.sent_at = b.sent_at;
-    up.delivered_at = sim_.now();
-    up.msg_id = b.msg_id;
-    up.payload = std::move(b.inner);
-    upper_.on_message(up);
+    deliver_up(peer, std::move(b.inner), b.sent_at, b.msg_id);
     if (down_) return;  // The upcall may have crashed us (test harnesses).
   }
 }
@@ -250,11 +263,10 @@ void ReliableEndpoint::handle_ack(NodeId peer, const RtAck& a) {
 
 void ReliableEndpoint::apply_ack(NodeId peer, PeerState& ps, std::uint64_t cum,
                                  std::uint64_t sack) {
-  bool progress = false;
-  while (!ps.window.empty() && ps.window.front().seq <= cum) {
-    ps.window.pop_front();
-    progress = true;
-  }
+  const auto acked = std::ranges::partition_point(
+      ps.window, [cum](const Unacked& u) { return u.seq <= cum; });
+  bool progress = acked != ps.window.begin();
+  ps.window.erase(ps.window.begin(), acked);
   if (sack != 0) {
     const auto sacked = [&](const Unacked& u) {
       return u.seq > cum && u.seq <= cum + 64 &&
@@ -274,9 +286,9 @@ void ReliableEndpoint::apply_ack(NodeId peer, PeerState& ps, std::uint64_t cum,
 
 std::uint64_t ReliableEndpoint::sack_mask(const PeerState& ps) const {
   std::uint64_t mask = 0;
-  for (const auto& [seq, b] : ps.buffer) {
-    if (seq > ps.cum + 64) break;  // Map iterates in seq order.
-    mask |= 1ULL << (seq - ps.cum - 1);
+  for (const Buffered& b : ps.buffer) {
+    if (b.seq > ps.cum + 64) break;  // The buffer is sorted by seq.
+    mask |= 1ULL << (b.seq - ps.cum - 1);
   }
   return mask;
 }

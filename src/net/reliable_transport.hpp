@@ -45,8 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -188,23 +186,29 @@ class ReliableEndpoint final : public Transport, public MessageHandler {
     int retries = 0;
   };
   struct Buffered {
+    std::uint64_t seq;
     PayloadPtr inner;
     sim::SimTime sent_at;
     std::uint64_t msg_id;
   };
+  // Both per-peer queues are plain vectors: empty ones own no heap, so a
+  // link costs its hash-table node until it carries traffic, and a warmed
+  // link reuses the capacity it already has.
   struct PeerState {
     // --- transmit side.
     std::uint32_t peer_epoch = 1;  ///< Our view of the peer's incarnation.
     std::uint32_t tx_gen = 1;  ///< Our stream generation (bumps on abandon).
     std::uint64_t next_seq = 1;
-    std::deque<Unacked> window;
+    std::vector<Unacked> window;  ///< Unacked frames in seq order.
     sim::SimTime rto;  ///< Current timeout (backs off; resets on progress).
     sim::EventId rto_event;
     // --- receive side.
     std::uint32_t rx_epoch = 0;  ///< Incarnation this rx state belongs to.
     std::uint32_t rx_gen = 0;    ///< Generation of the peer stream we track.
     std::uint64_t cum = 0;       ///< Highest contiguously delivered seq.
-    std::map<std::uint64_t, Buffered> buffer;  ///< Out-of-order frames.
+    /// Frames that arrived after a gap, sorted by seq (all > cum + 1); an
+    /// in-order frame is delivered without passing through here.
+    std::vector<Buffered> buffer;
     sim::EventId ack_event;      ///< Pending delayed-ack timer.
   };
 
@@ -223,6 +227,10 @@ class ReliableEndpoint final : public Transport, public MessageHandler {
   void apply_ack(NodeId peer, PeerState& ps, std::uint64_t cum,
                  std::uint64_t sack);
 
+  /// Hand one in-order payload to the Process above.
+  void deliver_up(NodeId peer, PayloadPtr inner, sim::SimTime sent_at,
+                  std::uint64_t msg_id);
+  /// Deliver the buffered frames that the last delivery made contiguous.
   void deliver_ready(NodeId peer, PeerState& ps);
   void transmit(PeerState& ps, NodeId dst, const Unacked& u,
                 bool is_retransmit);
@@ -235,7 +243,8 @@ class ReliableEndpoint final : public Transport, public MessageHandler {
 
   /// Per-peer state materializes on first contact: a node talks to O(active
   /// peers), not O(N), so a 100k-node cluster is not forced into N^2
-  /// PeerStates (each of which owns a deque and a map) at construction.
+  /// PeerStates at construction.  A new PeerState costs one hash-table node
+  /// and nothing else until its window or reorder buffer first holds a frame.
   PeerState& peer_state(NodeId peer) {
     auto [it, inserted] = peers_.try_emplace(peer.value());
     if (inserted) it->second.rto = cfg_.rto_initial;

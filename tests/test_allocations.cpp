@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/arbiter_mutex.hpp"
@@ -27,6 +28,7 @@
 #include "net/network.hpp"
 #include "net/payload.hpp"
 #include "net/pool.hpp"
+#include "net/reliable_transport.hpp"
 #include "runtime/cluster.hpp"
 #include "sim/simulator.hpp"
 
@@ -45,7 +47,8 @@ struct CountingHandler final : net::MessageHandler {
 };
 
 /// A cluster of `algorithm` nodes with per-node drivers and no tracing (a
-/// trace sink would allocate per event and mask the property under test).
+/// trace sink would allocate per event and mask the property under test),
+/// over the raw network or, given a config, the reliable transport.
 struct QuietCluster {
   runtime::Cluster cluster;
   mutex::RequestIdSource ids;
@@ -53,11 +56,13 @@ struct QuietCluster {
   std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
 
   QuietCluster(const std::string& algorithm, std::size_t n,
-               const std::vector<double>& t_exec)
+               const std::vector<double>& t_exec,
+               std::optional<net::ReliableTransportConfig> reliable = {})
       : cluster(n,
                 std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)),
                 /*seed=*/1, obs::Tracer{}) {
     harness::register_builtin_algorithms();
+    if (reliable) cluster.use_reliable_transport(*reliable);
     for (std::size_t i = 0; i < n; ++i) {
       const net::NodeId nid{static_cast<std::int32_t>(i)};
       mutex::FactoryContext ctx{nid, n, mutex::ParamSet{}};
@@ -164,6 +169,99 @@ TEST(Allocations, ArbiterRequestPathIsZeroAlloc) {
 
   tb.sim().run();  // drain: privilege transfer, CS, new-arbiter broadcast
   EXPECT_EQ(tb.completed(), warm_completed + 1);
+}
+
+// The same segment over the reliable transport: on a warmed link the
+// REQUEST's RT-DATA frame is sequenced, sent, delivered in order straight
+// to the arbiter and acknowledged by an armed delayed-ack timer, all
+// without touching the heap.
+TEST(Allocations, ReliableRequestPathIsZeroAlloc) {
+  if (!net::payload_pool_enabled()) {
+    GTEST_SKIP() << "std::allocator fallback active (sanitizer build)";
+  }
+  QuietCluster tb("arbiter-tp", 5, {0.1},
+                  net::ReliableTransportConfig::scaled_to(
+                      sim::SimTime::units(0.1)));
+  tb.warm_up(3);  // Every node has broadcast: every link is warm both ways.
+  const std::uint64_t warm_completed = tb.completed();
+  ASSERT_EQ(warm_completed, 15u);
+
+  std::size_t requester = tb.algos.size();
+  for (std::size_t i = 0; i < tb.algos.size(); ++i) {
+    if (!dynamic_cast<core::ArbiterMutex*>(tb.algos[i])->is_arbiter()) {
+      requester = i;
+      break;
+    }
+  }
+  ASSERT_LT(requester, tb.algos.size());
+
+  // The frame lands at t0 + 0.1 and arms a 0.05 delayed ack; stop before
+  // that ack fires and before the arbiter's collection window closes.
+  const double t0 = tb.sim().now().to_units();
+  const net::TransportStats ts0 = tb.cluster.transport_stats();
+  const auto before = net::payload_alloc_stats();
+  testutil::AllocationGuard guard;
+  tb.drivers[requester]->submit();
+  tb.sim().run_until(sim::SimTime::units(t0 + 0.12));
+  const auto after = net::payload_alloc_stats();
+  const std::uint64_t allocations = guard.count();
+
+  EXPECT_EQ(allocations, 0u)
+      << "steady-state reliable REQUEST send/deliver/dispatch allocated";
+  EXPECT_EQ(after.pool_served - before.pool_served, 2u)
+      << "one REQUEST and its RT-DATA frame, both pooled";
+  EXPECT_EQ(after.heap_served, before.heap_served);
+  const net::TransportStats ts1 = tb.cluster.transport_stats();
+  EXPECT_EQ(ts1.data_sent, ts0.data_sent + 1);
+  EXPECT_EQ(ts1.acks_sent, ts0.acks_sent) << "the delayed ack fired early";
+  EXPECT_EQ(ts1.reorder_buffered, 0u);
+
+  tb.sim().run_until(sim::SimTime::units(t0 + 0.16));
+  EXPECT_EQ(tb.cluster.transport_stats().acks_sent, ts0.acks_sent + 1)
+      << "the REQUEST's delayed ack was not armed";
+  tb.sim().run();
+  EXPECT_EQ(tb.completed(), warm_completed + 1);
+}
+
+// First contact with a fresh peer costs the endpoint one hash-table node
+// for its PeerState and nothing else: neither the send window nor the
+// reorder buffer owns heap until a frame needs it.
+TEST(Allocations, ReliableFirstContactCostsOneHashNode) {
+  if (!net::payload_pool_enabled()) {
+    GTEST_SKIP() << "std::allocator fallback active (sanitizer build)";
+  }
+  constexpr std::size_t kN = 3;
+  sim::Simulator sim;
+  net::Network net(sim, kN,
+                   std::make_unique<net::ConstantDelay>(sim::SimTime::units(1)),
+                   /*seed=*/7);
+  std::vector<CountingHandler> sinks(kN);
+  std::vector<std::unique_ptr<net::ReliableEndpoint>> eps;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const net::NodeId id{static_cast<std::int32_t>(i)};
+    eps.push_back(std::make_unique<net::ReliableEndpoint>(
+        net, id, sinks[i],
+        net::ReliableTransportConfig::scaled_to(sim::SimTime::units(1)),
+        /*rng_seed=*/100 + i));
+    net.attach(id, eps.back().get());
+  }
+  // Node 1's exchange with node 0 stocks the pool, grows the simulator's
+  // slots and gives node 0's peer table its bucket array.
+  eps[1]->send(net::NodeId{1}, net::NodeId{0}, net::make_payload<PingMsg>());
+  sim.run();
+  ASSERT_EQ(sinks[0].delivered, 1);
+
+  // Node 2's first frame is in flight; its in-order arrival is node 0's
+  // first contact with node 2.
+  eps[2]->send(net::NodeId{2}, net::NodeId{0}, net::make_payload<PingMsg>());
+  const double t = sim.now().to_units();
+  testutil::AllocationGuard guard;
+  sim.run_until(sim::SimTime::units(t + 1.0));
+  const std::uint64_t allocations = guard.count();
+
+  EXPECT_EQ(sinks[0].delivered, 2);
+  EXPECT_EQ(allocations, 1u) << "first contact should cost one hash node";
+  EXPECT_EQ(eps[0]->stats().reorder_buffered, 0u);
 }
 
 TEST(Allocations, SuzukiKasamiRequestBroadcastIsZeroAlloc) {

@@ -1,80 +1,14 @@
-// Tests for the multi-hop topology delay model and the closed-loop workload.
+// Tests for the closed-loop workload.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "harness/experiment.hpp"
 #include "mutex/mutex_cluster.hpp"
-#include "net/topology.hpp"
 #include "workload/closed_loop.hpp"
 
 namespace dmx {
 namespace {
-
-TEST(Topology, CannedShapes) {
-  EXPECT_EQ(net::Topology::ring(6).diameter(), 3u);
-  EXPECT_EQ(net::Topology::line(6).diameter(), 5u);
-  EXPECT_EQ(net::Topology::star(6).diameter(), 2u);
-  EXPECT_EQ(net::Topology::full_mesh(6).diameter(), 1u);
-  EXPECT_EQ(net::Topology::binary_tree(7).diameter(), 4u);
-  for (auto make : {net::Topology::ring, net::Topology::star,
-                    net::Topology::line, net::Topology::full_mesh,
-                    net::Topology::binary_tree}) {
-    EXPECT_TRUE(make(9).connected());
-  }
-}
-
-TEST(Topology, HopsFromBfs) {
-  const auto t = net::Topology::line(5);
-  const auto d = t.hops_from(net::NodeId{0});
-  EXPECT_EQ(d, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(Topology, Validation) {
-  EXPECT_THROW(net::Topology t(0), std::invalid_argument);
-  net::Topology t(3);
-  EXPECT_THROW(t.add_edge(net::NodeId{0}, net::NodeId{0}),
-               std::invalid_argument);
-  EXPECT_THROW(t.add_edge(net::NodeId{0}, net::NodeId{9}), std::out_of_range);
-  t.add_edge(net::NodeId{0}, net::NodeId{1});
-  EXPECT_TRUE(t.has_edge(net::NodeId{1}, net::NodeId{0}));  // undirected
-  EXPECT_FALSE(t.connected());                              // node 2 isolated
-  EXPECT_THROW(net::HopDelay(t, sim::SimTime::units(0.1)),
-               std::invalid_argument);
-}
-
-TEST(Topology, HopDelayScalesWithDistance) {
-  net::HopDelay d(net::Topology::line(4), sim::SimTime::units(0.1));
-  sim::Rng rng(1);
-  EXPECT_EQ(d.delay(net::NodeId{0}, net::NodeId{1}, 0, rng),
-            sim::SimTime::units(0.1));
-  EXPECT_EQ(d.delay(net::NodeId{0}, net::NodeId{3}, 0, rng),
-            sim::SimTime::units(0.3));
-  EXPECT_EQ(d.delay(net::NodeId{2}, net::NodeId{2}, 0, rng),
-            sim::SimTime::ticks(1));
-}
-
-TEST(Topology, ArbiterSafeAndLiveOnRingTopology) {
-  // The paper claims topology independence: run the algorithm over a ring
-  // where broadcast costs scale with hop distance.
-  harness::register_builtin_algorithms();
-  mutex::ParamSet params;
-  params.set("t_fwd", 0.5).set("resubmit_after_misses", 1.0);
-  mutex::MutexCluster nodes(
-      "arbiter-tp", 8, params, 0.1, 3,
-      std::make_unique<net::HopDelay>(net::Topology::ring(8),
-                                      sim::SimTime::units(0.05)));
-  nodes.start();
-  sim::Rng rng(5);
-  for (int k = 0; k < 200; ++k) {
-    const auto node = static_cast<std::size_t>(rng.uniform_int(0, 7));
-    const double when = rng.uniform(0.0, 60.0);
-    nodes.submit_at(when, node);
-  }
-  nodes.sim().run();
-  EXPECT_EQ(nodes.total_completed(), 200u);
-  EXPECT_EQ(nodes.monitor().violations(), 0u);
-}
 
 // The registry must be filled before a MutexCluster is built.
 std::string registered_arbiter_tp() {

@@ -286,6 +286,145 @@ TEST(ReliableTransport, RetryCapAbandonmentResyncsLiveLinkAfterLossHeals) {
   EXPECT_EQ(tp.up1.received.size(), 2u);  // Exactly-once for 1 and 3 only.
 }
 
+// ------------------------------------------------- scripted reorder buffer
+
+/// One ReliableEndpoint (node 1) facing a scripted peer: the test hands it
+/// RT-DATA frames "from node 0" directly, and node 0's end of the wire is a
+/// raw recorder, so every frame number and every piggybacked ack is chosen
+/// or observed exactly.
+struct ScriptedLink {
+  ScriptedLink()
+      : net(sim, 2,
+            std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)),
+            /*rng_seed=*/1),
+        ep1(net, net::NodeId{1}, up1, test_config(), 22) {
+    net.attach(net::NodeId{0}, &wire0);
+    net.attach(net::NodeId{1}, &ep1);
+  }
+
+  /// Node 0's frame `seq` of stream (epoch, gen), carrying CHIRP(seq).  Its
+  /// ack_gen 0 matches no stream, so it never retires node 1's window.
+  void arrive(std::uint64_t seq, std::uint32_t epoch = 1,
+              std::uint32_t gen = 1) {
+    net::Envelope env;
+    env.src = net::NodeId{0};
+    env.dst = net::NodeId{1};
+    env.sent_at = sim.now();
+    env.delivered_at = sim.now();
+    env.msg_id = seq;
+    env.payload = net::make_payload<net::RtData>(
+        epoch, ep1.epoch(), gen, seq, std::uint64_t{0}, std::uint64_t{0},
+        std::uint32_t{0}, false,
+        net::make_payload<ChirpMsg>(static_cast<int>(seq)));
+    ep1.on_message(env);
+  }
+
+  /// Node 1 sends one data frame to node 0; returns the frame as sent,
+  /// i.e. the rx state it piggybacks.
+  net::RtData piggyback() {
+    std::optional<net::RtData> frame;
+    net.set_tap([&frame](const net::Envelope& env, bool) {
+      if (const auto* d = env.as<net::RtData>()) frame = *d;
+    });
+    ep1.send(net::NodeId{1}, net::NodeId{0}, net::make_payload<ChirpMsg>(0));
+    net.set_tap({});
+    return *frame;
+  }
+
+  /// CHIRP values node 1 delivered upward, in delivery order.
+  [[nodiscard]] std::vector<int> delivered() const {
+    std::vector<int> out;
+    for (const auto& env : up1.received) {
+      out.push_back(env.as<ChirpMsg>()->value);
+    }
+    return out;
+  }
+
+  sim::Simulator sim;
+  net::Network net;
+  UpperRecorder wire0, up1;
+  net::ReliableEndpoint ep1;
+};
+
+// A gap, its fill, then a second gap with two holes: delivery stays in
+// order, only frames that arrive ahead of cum + 1 count as reordered, and
+// the sack bits piggybacked on reverse data name exactly the parked frames.
+TEST(ReliableTransport, ReorderBufferParksOnlyFramesBehindAGap) {
+  ScriptedLink link;
+  link.arrive(1);
+  EXPECT_EQ(link.ep1.stats().reorder_buffered, 0u);
+
+  link.arrive(3);  // Gap: seq 2 is missing.
+  EXPECT_EQ(link.delivered(), (std::vector<int>{1}));
+  EXPECT_EQ(link.ep1.stats().reorder_buffered, 1u);
+  net::RtData f = link.piggyback();
+  EXPECT_EQ(f.cum_ack, 1u);
+  EXPECT_EQ(f.sack_mask, 0x2u);  // Bit i = seq cum + 1 + i: seq 3.
+
+  link.arrive(2);  // Fill: 2 and the parked 3 go up together.
+  EXPECT_EQ(link.delivered(), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(link.ep1.stats().reorder_buffered, 1u);
+  f = link.piggyback();
+  EXPECT_EQ(f.cum_ack, 3u);
+  EXPECT_EQ(f.sack_mask, 0u);
+
+  link.arrive(8);  // Second gap, out of order within the buffer too.
+  link.arrive(6);
+  link.arrive(6);  // A duplicate of a parked frame is dropped, not parked.
+  EXPECT_EQ(link.ep1.stats().reorder_buffered, 3u);
+  EXPECT_EQ(link.ep1.stats().dup_dropped, 1u);
+  f = link.piggyback();
+  EXPECT_EQ(f.cum_ack, 3u);
+  EXPECT_EQ(f.sack_mask, 0x14u);  // Seqs 6 and 8.
+
+  link.arrive(4);  // Delivers 4 only: 5 is still missing.
+  EXPECT_EQ(link.delivered(), (std::vector<int>{1, 2, 3, 4}));
+  f = link.piggyback();
+  EXPECT_EQ(f.cum_ack, 4u);
+  EXPECT_EQ(f.sack_mask, 0xau);  // Seqs 6 and 8 relative to cum 4.
+  link.arrive(5);
+  link.arrive(7);
+  EXPECT_EQ(link.delivered(), (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(link.ep1.stats().reorder_buffered, 3u);
+  f = link.piggyback();
+  EXPECT_EQ(f.cum_ack, 8u);
+  EXPECT_EQ(f.sack_mask, 0u);
+}
+
+// A generation bump (the peer abandoned its window at the retry cap) and a
+// fence (the peer restarted) on a link that has only ever seen in-order
+// frames: each adopts a fresh sequence space and keeps delivering.
+TEST(ReliableTransport, GenerationBumpAndFenceOnALinkThatNeverBuffered) {
+  ScriptedLink link;
+  link.arrive(1);
+  link.arrive(2);
+
+  link.arrive(1, /*epoch=*/1, /*gen=*/2);  // Generation bump: seq 1 again.
+  EXPECT_EQ(link.delivered(), (std::vector<int>{1, 2, 1}));
+  net::RtData f = link.piggyback();
+  EXPECT_EQ(f.ack_gen, 2u);
+  EXPECT_EQ(f.cum_ack, 1u);
+  EXPECT_EQ(f.sack_mask, 0u);
+  EXPECT_EQ(f.dst_epoch, 1u);
+
+  link.arrive(1, /*epoch=*/2, /*gen=*/1);  // Fence: the peer restarted.
+  EXPECT_EQ(link.delivered(), (std::vector<int>{1, 2, 1, 1}));
+  f = link.piggyback();
+  EXPECT_EQ(f.dst_epoch, 2u);
+  EXPECT_EQ(f.ack_gen, 1u);
+  EXPECT_EQ(f.cum_ack, 1u);
+  EXPECT_EQ(f.sack_mask, 0u);
+  // The fence abandoned node 1's unacked frame to the dead incarnation.
+  EXPECT_EQ(link.ep1.stats().abandoned, 1u);
+  EXPECT_EQ(f.seq, 1u);  // Its window restarted its sequence space.
+
+  link.arrive(2, /*epoch=*/1, /*gen=*/2);  // Dead incarnation: fenced.
+  EXPECT_EQ(link.ep1.stats().stale_dropped, 1u);
+  EXPECT_EQ(link.ep1.stats().reorder_buffered, 0u);
+  EXPECT_EQ(link.ep1.stats().dup_dropped, 0u);
+  EXPECT_EQ(link.delivered().size(), 4u);
+}
+
 // ----------------------------------------------------------- determinism
 
 // A lossy reliable run is a pure function of (seed, config): two identical
