@@ -12,7 +12,10 @@
 #    raw arbiter-tp, sequenced, priority order, starvation-free with and
 #    without a rotating monitor, the suppress_self_broadcast ablation,
 #    loss + recovery for both variants, the reliable transport, a
-#    crash/restart campaign, a partition with and without the quorum guard,
+#    reliable-transport campaign of the one-shot and window verbs (a
+#    'loss *' window, a reorder window, dup-next, and lose-next with
+#    from=/to=), a crash/restart campaign, a partition with and without
+#    the quorum guard,
 #    a 64-resource lock service, and a 16-resource one whose hot shards
 #    see many demands arrive at one instant (it tells apart any change to
 #    the order in which such demands enter the protocol);
@@ -37,6 +40,9 @@ RECOVERY=(--param recovery=1 --param token_timeout=3 --param enquiry_timeout=1
 LOSS=(--loss REQUEST=0.05 --loss PRIVILEGE=0.02 --loss NEW-ARBITER=0.02)
 BASE=(--n 10 --lambda 0.5,2.0 --requests 2000 --seeds 2)
 PARTITION="t=30 partition 3,4|0,1,2,5,6,7,8,9; t=60 heal"
+ONE_SHOTS="t=5 loss *=0.1 until=15; reorder-window t=20..30; \
+t=25 dup-next PRIVILEGE; t=35 lose-next REQUEST from=1 to=2; \
+t=40 dup-next NEW-ARBITER from=2"
 
 # sweep NAME ARGS...: one dmx_sweep scenario on $BUILD, outputs in $OUT.
 sweep() {
@@ -66,6 +72,9 @@ run_all() {
                        "${RECOVERY[@]}"
   sweep reliable       --algo arbiter-tp "${BASE[@]}" --transport reliable \
                        --loss REQUEST=0.05
+  sweep reliable_campaign --algo arbiter-tp --n 5 --lambda 0.5 \
+                       --requests 500 --seeds 2 --transport reliable \
+                       --fault "$ONE_SHOTS"
   sweep crash_restart  --algo arbiter-tp --n 5 --lambda 0.3 --requests 300 \
                        --seeds 2 "${RECOVERY[@]}" \
                        --fault "t=20 crash 2; t=40 restart 2"

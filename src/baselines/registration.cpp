@@ -17,12 +17,12 @@ void register_all() {
   auto& reg = mutex::Registry::instance();
   reg.add("centralized", [](const mutex::FactoryContext& ctx) {
     const auto coord = net::NodeId{
-        static_cast<std::int32_t>(ctx.params.get_num("coordinator", 0))};
+        static_cast<std::int32_t>(ctx.params.get_count("coordinator", 0))};
     return std::make_unique<CentralizedMutex>(coord, ctx.n_nodes);
   });
   reg.add("suzuki-kasami", [](const mutex::FactoryContext& ctx) {
     const auto holder = net::NodeId{
-        static_cast<std::int32_t>(ctx.params.get_num("initial_holder", 0))};
+        static_cast<std::int32_t>(ctx.params.get_count("initial_holder", 0))};
     return std::make_unique<SuzukiKasamiMutex>(ctx.n_nodes, holder);
   });
   reg.add("ricart-agrawala", [](const mutex::FactoryContext& ctx) {

@@ -18,60 +18,52 @@ net::NodeId to_node(int n) {
 
 }  // namespace
 
-CampaignRunner::CampaignRunner(runtime::Cluster& cluster, FaultPlan plan)
-    : cluster_(cluster), plan_(std::move(plan)) {}
-
-void CampaignRunner::validate() const {
-  const auto& registry = net::MsgKindRegistry::instance();
-  auto check_node = [&](int n, const FaultAction& a) {
-    if (n >= 0 && static_cast<std::size_t>(n) >= cluster_.size()) {
-      throw std::invalid_argument("fault plan: node " + std::to_string(n) +
-                                  " out of range in '" + a.describe() + "'");
+void apply_cluster_action(runtime::Cluster& cluster,
+                          const FaultAction& action) {
+  switch (action.kind) {
+    case FaultAction::Kind::kCrash:
+      cluster.crash_node(to_node(action.node));
+      return;
+    case FaultAction::Kind::kRestart:
+      cluster.restart_node(to_node(action.node));
+      return;
+    case FaultAction::Kind::kPartition: {
+      std::vector<std::vector<net::NodeId>> groups;
+      groups.reserve(action.groups.size());
+      for (const auto& group : action.groups) {
+        std::vector<net::NodeId>& out = groups.emplace_back();
+        out.reserve(group.size());
+        for (int n : group) out.push_back(to_node(n));
+      }
+      cluster.network().faults().set_partition(std::move(groups));
+      return;
     }
-  };
-  auto check_type = [&](const std::string& type, const FaultAction& a) {
-    // Every shipped message type registers during static initialization, so
-    // an unknown name is a typo that would otherwise silently never match.
-    if (type != "*" && !registry.find(type).valid()) {
-      throw std::invalid_argument(
-          "fault plan: unregistered message type \"" + type + "\" in '" +
-          a.describe() + "'");
-    }
-  };
-  for (const FaultAction& a : plan_.actions) {
-    switch (a.kind) {
-      case FaultAction::Kind::kCrash:
-      case FaultAction::Kind::kRestart:
-        check_node(a.node, a);
-        break;
-      case FaultAction::Kind::kLoseNext:
-      case FaultAction::Kind::kDupNext:
-        check_type(a.msg_type, a);
-        check_node(a.src, a);
-        check_node(a.dst, a);
-        break;
-      case FaultAction::Kind::kSetLoss:
-        check_type(a.msg_type, a);
-        break;
-      case FaultAction::Kind::kPartition:
-        for (const auto& group : a.groups) {
-          for (int n : group) check_node(n, a);
-        }
-        break;
-      case FaultAction::Kind::kReorderWindow:
-      case FaultAction::Kind::kHeal:
-        break;
-    }
-    if (a.at < cluster_.simulator().now().to_units()) {
-      throw std::invalid_argument("fault plan: action '" + a.describe() +
-                                  "' is scheduled in the past");
-    }
+    case FaultAction::Kind::kHeal:
+      cluster.network().faults().heal_partition();
+      return;
+    default:
+      throw std::logic_error("apply_cluster_action: not a node or link "
+                             "action: " + action.describe());
   }
 }
 
+CampaignRunner::CampaignRunner(runtime::Cluster& cluster, FaultPlan plan)
+    : cluster_(cluster), plan_(std::move(plan)) {}
+
 void CampaignRunner::start() {
   if (started_) throw std::logic_error("CampaignRunner::start: already started");
-  validate();
+  std::vector<std::string> errors = plan_.validate(cluster_.size());
+  for (const FaultAction& a : plan_.actions) {
+    if (a.at < cluster_.simulator().now().to_units()) {
+      errors.push_back("fault plan: action '" + a.describe() +
+                       "' is scheduled in the past");
+    }
+  }
+  if (!errors.empty()) {
+    std::string joined = errors.front();
+    for (std::size_t i = 1; i < errors.size(); ++i) joined += "\n" + errors[i];
+    throw std::invalid_argument(joined);
+  }
   started_ = true;
   events_.reserve(plan_.size());
   for (const FaultAction& a : plan_.actions) {
@@ -98,10 +90,10 @@ void CampaignRunner::execute(const FaultAction& action) {
   auto& faults = cluster_.network().faults();
   switch (action.kind) {
     case FaultAction::Kind::kCrash:
-      cluster_.crash_node(to_node(action.node));
-      break;
     case FaultAction::Kind::kRestart:
-      cluster_.restart_node(to_node(action.node));
+    case FaultAction::Kind::kPartition:
+    case FaultAction::Kind::kHeal:
+      apply_cluster_action(cluster_, action);
       break;
     case FaultAction::Kind::kLoseNext:
       one_shot_ids_.push_back(faults.drop_next_of_type(
@@ -135,25 +127,11 @@ void CampaignRunner::execute(const FaultAction& action) {
         }
       }
       break;
-    case FaultAction::Kind::kPartition: {
-      std::vector<std::vector<net::NodeId>> groups;
-      groups.reserve(action.groups.size());
-      for (const auto& group : action.groups) {
-        std::vector<net::NodeId>& out = groups.emplace_back();
-        out.reserve(group.size());
-        for (int n : group) out.push_back(to_node(n));
-      }
-      faults.set_partition(std::move(groups));
-      break;
-    }
     case FaultAction::Kind::kReorderWindow:
       faults.set_reorder(true);
       events_.push_back(cluster_.simulator().schedule_at(
           sim::SimTime::units(action.until),
           [this] { cluster_.network().faults().set_reorder(false); }));
-      break;
-    case FaultAction::Kind::kHeal:
-      faults.heal_partition();
       break;
   }
   ++executed_;

@@ -2,7 +2,7 @@
 //
 // The runner turns each FaultAction into a cancellable simulator event that
 // fires at its scripted time and acts on the cluster's FaultInjector and
-// Process lifecycle (crash/restart).  A crash needs nothing more from the
+// Process lifecycle (crash/restart, through apply_cluster_action).  A crash needs nothing more from the
 // harness: each node's CsDriver voids its own demand when the node
 // crashes.  The fault observer feeds the RecoveryMetrics layer so
 // time-to-recovery is measured per disruptive action.  Everything executes
@@ -22,6 +22,12 @@
 
 namespace dmx::fault {
 
+/// Apply a crash, restart, partition or heal action to the cluster: the one
+/// place a plan's node indices become NodeIds, shared by the CampaignRunner
+/// and the verifier's World.  The action must have passed
+/// FaultPlan::validate for this cluster; any other kind is a logic error.
+void apply_cluster_action(runtime::Cluster& cluster, const FaultAction& action);
+
 class CampaignRunner {
  public:
   /// Observes every executed action (at its fire time); `disruptive()`
@@ -36,9 +42,10 @@ class CampaignRunner {
 
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
-  /// Validate the plan against the cluster (node indices in range, message
-  /// types registered) and schedule every action.  Throws
-  /// std::invalid_argument on a bad plan; call before the simulation runs.
+  /// Check the plan (FaultPlan::validate for this cluster, and no action
+  /// scheduled before the current time) and schedule every action.  Throws
+  /// std::invalid_argument listing every problem; call before the
+  /// simulation runs.
   void start();
 
   /// Cancel all not-yet-fired actions (idempotent).
@@ -50,8 +57,8 @@ class CampaignRunner {
     return plan_.size() - executed_;
   }
 
-  /// Targeted drops ("lose-next") that executed but whose one-shot predicate
-  /// has not yet matched a message.  A finished campaign can assert this is
+  /// Targeted one-shots (lose-next / dup-next) that executed but have not
+  /// yet matched a message.  A finished campaign can assert this is
   /// zero to prove every scripted drop actually fired.
   [[nodiscard]] std::size_t unfired_targeted_drops() const;
 
@@ -59,7 +66,6 @@ class CampaignRunner {
   [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
 
  private:
-  void validate() const;
   void execute(const FaultAction& action);
 
   runtime::Cluster& cluster_;
@@ -68,7 +74,7 @@ class CampaignRunner {
   bool started_ = false;
   std::size_t executed_ = 0;
   std::vector<sim::EventId> events_;
-  std::vector<std::uint64_t> one_shot_ids_;  ///< From lose-next actions.
+  std::vector<std::uint64_t> one_shot_ids_;  ///< From lose-/dup-next.
   std::vector<std::string> log_;
 };
 

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "net/msg_kind.hpp"
+
 namespace dmx::fault {
 
 namespace {
@@ -253,6 +255,50 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       plan.actions.begin(), plan.actions.end(),
       [](const FaultAction& a, const FaultAction& b) { return a.at < b.at; });
   return plan;
+}
+
+std::vector<std::string> FaultPlan::validate(std::size_t n_nodes) const {
+  std::vector<std::string> errors;
+  for (const FaultAction& a : actions) {
+    const auto bad = [&](const std::string& what) {
+      errors.push_back("fault plan: " + what + " in '" + a.describe() + "'");
+    };
+    const auto check_node = [&](int n) {  // n < 0 is an unset from=/to=.
+      if (n >= 0 && static_cast<std::size_t>(n) >= n_nodes) {
+        bad("node " + std::to_string(n) + " out of range for " +
+            std::to_string(n_nodes) + " nodes");
+      }
+    };
+    switch (a.kind) {
+      case FaultAction::Kind::kCrash:
+      case FaultAction::Kind::kRestart:
+        check_node(a.node);
+        break;
+      case FaultAction::Kind::kLoseNext:
+      case FaultAction::Kind::kDupNext:
+        check_node(a.src);
+        check_node(a.dst);
+        [[fallthrough]];
+      case FaultAction::Kind::kSetLoss:
+        if (!is_message_type(a.msg_type)) {
+          bad("unregistered message type \"" + a.msg_type + "\"");
+        }
+        break;
+      case FaultAction::Kind::kPartition:
+        for (const auto& group : a.groups) {
+          for (const int n : group) check_node(n);
+        }
+        break;
+      case FaultAction::Kind::kReorderWindow:
+      case FaultAction::Kind::kHeal:
+        break;
+    }
+  }
+  return errors;
+}
+
+bool is_message_type(std::string_view name) {
+  return name == "*" || net::MsgKindRegistry::instance().find(name).valid();
 }
 
 std::string FaultPlan::to_string() const {

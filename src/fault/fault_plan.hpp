@@ -22,7 +22,8 @@
 //           | 'heal'
 //
 // TIME and P are doubles (sim time units / probability in [0,1]); NODE is a
-// 0-based node index; TYPE is a registered message-type name ("PRIVILEGE").
+// 0-based node index; TYPE is a registered message-type name ("PRIVILEGE")
+// or '*' for any type.
 // A 'loss' with 'until=' reverts at that time: a per-type window clears the
 // override (back to the global rate), a global ('*') window restores the
 // global rate captured when the window opened.
@@ -84,13 +85,24 @@ struct FaultPlan {
   [[nodiscard]] std::size_t size() const { return actions.size(); }
 
   /// Parse the compact spec grammar above; throws std::invalid_argument
-  /// with a pointed message on any syntax error.  Message-type names are
-  /// NOT validated here (the registry may not be populated yet); the
-  /// CampaignRunner validates them against the MsgKindRegistry at start().
+  /// with a pointed message on any syntax error.  Node ranges and
+  /// message-type names are left to validate().
   static FaultPlan parse(std::string_view spec);
+
+  /// The one plan check every driver runs: each node index (crash/restart
+  /// target, lose-next/dup-next from=/to=, partition member) must be below
+  /// n_nodes, and each lose-next/dup-next/loss type must satisfy
+  /// is_message_type().  Empty when the plan fits the cluster; one message
+  /// per problem, naming its action, otherwise.
+  [[nodiscard]] std::vector<std::string> validate(std::size_t n_nodes) const;
 
   /// Spec string that parses back to this plan.
   [[nodiscard]] std::string to_string() const;
 };
+
+/// True for "*" (any type) and every registered message-type name.  Every
+/// shipped type registers during static initialization, so any other name
+/// is a typo that would silently never match.
+[[nodiscard]] bool is_message_type(std::string_view name);
 
 }  // namespace dmx::fault

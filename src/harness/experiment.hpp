@@ -63,7 +63,7 @@ struct ExperimentConfig {
   std::map<std::string, double> loss_by_type;
   /// Scripted chaos campaign: a fault-plan spec string (see
   /// fault/fault_plan.hpp), e.g. "t=5 crash 3; t=9 restart 3".  Empty = no
-  /// campaign.  Parsed and validated before the run starts.
+  /// campaign.  validate() parses it and runs FaultPlan::validate.
   std::string fault_plan;
   /// Liveness stall threshold in sim units for the ProgressMonitor:
   ///   > 0  monitor with this threshold;

@@ -5,9 +5,11 @@
 // falls back to its documented defaults.  A key holds either a number or a
 // string; reading it as the other kind throws std::invalid_argument, so a
 // malformed number (t_req=0.5x) fails instead of silently keeping the
-// default.
+// default.  get_time and get_count are the checked readers: an
+// out-of-range value fails at construction, naming its key.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -47,11 +49,15 @@ class ParamSet {
     return *v;
   }
 
+  /// A duration: throws std::invalid_argument naming the key unless the
+  /// value is a non-negative time SimTime can hold (NaN and inf fail).
   [[nodiscard]] sim::SimTime get_time(const std::string& key,
-                                      sim::SimTime fallback) const {
-    const double* v = find_num(key);
-    return v == nullptr ? fallback : sim::SimTime::units(*v);
-  }
+                                      sim::SimTime fallback) const;
+
+  /// A count or node index: throws std::invalid_argument naming the key
+  /// unless the value (or the fallback) is a whole number in [0, INT32_MAX].
+  [[nodiscard]] std::uint32_t get_count(const std::string& key,
+                                        std::uint32_t fallback) const;
 
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
     const double* v = find_num(key);

@@ -15,10 +15,15 @@
 // PRIVILEGE still counts as a PRIVILEGE for loss tables and one-shots.
 //
 // Beyond drops, the injector models the two other classic datagram sins:
-// duplication (duplicate_next: every matching one-shot stacks one extra
-// delivery of the frame) and reordering (a window during which alternate
-// sends take a longer path, overtaking their successors).  Both exist to
-// exercise a reliable transport's dedup and resequencing machinery.
+// duplication (duplicate_next_of_type: every matching one-shot stacks one
+// extra delivery of the frame) and reordering (a window during which
+// alternate sends take a longer path, overtaking their successors).  Both
+// exist to exercise a reliable transport's dedup and resequencing machinery.
+//
+// A one-shot is a plain record — a message kind (invalid = any type, the
+// "*" of a fault plan), an optional sender and an optional receiver — so
+// matching one is three comparisons, and a send with no one-shot pending
+// pays one empty-vector check.
 //
 // Every drop is adjudicated in exactly one place (classify(), first match
 // wins) and counted exactly once, with the cause recorded: a message between
@@ -30,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,7 +53,7 @@ enum class DropReason : std::uint8_t {
   kNone = 0,
   kNodeDown,    ///< src or dst is down at send / dst down at delivery.
   kPartition,   ///< src and dst are in different partition groups.
-  kOneShot,     ///< A targeted drop_next predicate matched.
+  kOneShot,     ///< A targeted drop_next_of_type one-shot matched.
   kRandomLoss,  ///< Probabilistic loss (global or per-kind).
 };
 inline constexpr std::size_t kDropReasonCount = 5;
@@ -58,8 +62,6 @@ inline constexpr std::size_t kDropReasonCount = 5;
 
 class FaultInjector {
  public:
-  using Predicate = std::function<bool(const Envelope&)>;
-
   /// Pre-sizes the per-kind loss table to every kind registered so far
   /// (matching Network's sent_by_kind policy): the resize branch in
   /// set_loss_probability never fires for types linked into the binary.
@@ -85,43 +87,33 @@ class FaultInjector {
   [[nodiscard]] double loss_probability(MsgKind kind) const;
   [[nodiscard]] double global_loss_probability() const { return global_loss_; }
 
-  /// Register a predicate that drops the first matching message, then
-  /// retires.  Returns an id usable with cancel_one_shot.
-  std::uint64_t drop_next(Predicate pred);
-  bool cancel_one_shot(std::uint64_t id);
-
-  /// Convenience: drop the next message of the given payload type
-  /// (optionally restricted to a src and/or dst).
+  /// Drop the next message of the given payload type ("*" = any type),
+  /// optionally restricted to a src and/or dst, then retire.  Interns the
+  /// name like set_loss_probability.  Returns an id for one_shot_pending.
   std::uint64_t drop_next_of_type(std::string_view type_name,
                                   NodeId src = NodeId{},
                                   NodeId dst = NodeId{});
-  std::uint64_t drop_next_of_kind(MsgKind kind, NodeId src = NodeId{},
-                                  NodeId dst = NodeId{});
 
-  /// One-shot observability: how many drop_next predicates have fired (i.e.
-  /// retired by dropping a message), how many one-shots of either flavour
-  /// are still waiting, and whether a specific one is still pending (false
-  /// once fired or cancelled).  one_shots_pending / one_shot_pending /
-  /// cancel_one_shot also cover duplicate_next ids.
+  /// Inject one extra copy of the next delivered (not dropped) message that
+  /// matches, then retire; same matching as drop_next_of_type.  Unlike
+  /// drops, duplications stack: N pending one-shots matching the same
+  /// message yield N extra copies.
+  std::uint64_t duplicate_next_of_type(std::string_view type_name,
+                                       NodeId src = NodeId{},
+                                       NodeId dst = NodeId{});
+
+  /// One-shot observability: how many drops have fired (i.e. retired by
+  /// dropping a message), how many one-shots of either flavour are still
+  /// waiting, and whether a specific one is still pending (false once
+  /// fired).
   [[nodiscard]] std::uint64_t one_shots_fired() const { return os_fired_; }
   [[nodiscard]] std::size_t one_shots_pending() const {
     return one_shots_.size() + dup_one_shots_.size();
   }
   [[nodiscard]] bool one_shot_pending(std::uint64_t id) const;
 
-  /// Register a predicate that duplicates the first matching (delivered)
-  /// message, then retires.  Unlike drops, duplications stack: N pending
-  /// predicates matching the same message yield N extra copies.  Returns an
-  /// id usable with cancel_one_shot / one_shot_pending.
-  std::uint64_t duplicate_next(Predicate pred);
-  std::uint64_t duplicate_next_of_kind(MsgKind kind, NodeId src = NodeId{},
-                                       NodeId dst = NodeId{});
-  std::uint64_t duplicate_next_of_type(std::string_view type_name,
-                                       NodeId src = NodeId{},
-                                       NodeId dst = NodeId{});
-
   /// Number of extra copies to inject for this (not dropped) message:
-  /// retires every matching duplicate_next predicate.
+  /// retires every matching duplicate one-shot.
   [[nodiscard]] std::size_t duplicate_copies(const Envelope& env);
   [[nodiscard]] std::uint64_t duplicates_injected() const {
     return duplicates_injected_;
@@ -177,8 +169,14 @@ class FaultInjector {
   bool any_per_kind_loss_ = false;
   struct OneShot {
     std::uint64_t id;
-    Predicate pred;
+    MsgKind kind;  ///< Invalid = any type.
+    NodeId src;    ///< Invalid = any sender.
+    NodeId dst;    ///< Invalid = any receiver.
+    [[nodiscard]] bool matches(const Envelope& env) const;
   };
+  std::uint64_t add_one_shot(std::vector<OneShot>& list,
+                             std::string_view type_name, NodeId src,
+                             NodeId dst);
   std::vector<OneShot> one_shots_;
   std::vector<OneShot> dup_one_shots_;
   std::uint64_t next_one_shot_id_ = 1;

@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/fault_plan.hpp"
 #include "harness/experiment.hpp"
 #include "mutex/registry.hpp"
-#include "net/msg_kind.hpp"
 #include "verify/mutants.hpp"
 
 namespace dmx::verify {
@@ -39,51 +39,27 @@ std::vector<std::string> VerifyConfig::validate() const {
   if (!fault_plan.empty()) {
     try {
       const fault::FaultPlan plan = fault::FaultPlan::parse(fault_plan);
+      for (std::string& e : plan.validate(n_nodes)) {
+        errors.push_back(std::move(e));
+      }
       for (const fault::FaultAction& act : plan.actions) {
         switch (act.kind) {
           case fault::FaultAction::Kind::kCrash:
           case fault::FaultAction::Kind::kRestart:
-            if (act.node < 0 ||
-                static_cast<std::size_t>(act.node) >= n_nodes) {
-              errors.push_back("fault plan targets node " +
-                               std::to_string(act.node) +
-                               " outside the cluster");
-            }
-            break;
           case fault::FaultAction::Kind::kLoseNext:
-            if (act.msg_type != "*" &&
-                !net::MsgKindRegistry::instance().find(act.msg_type)
-                     .valid()) {
-              errors.push_back("lose-next names unregistered message type \"" +
-                               act.msg_type + "\"");
-            }
-            break;
           case fault::FaultAction::Kind::kPartition:
-            if (act.groups.empty()) {
-              errors.emplace_back("partition action has no groups");
-            }
-            for (const auto& group : act.groups) {
-              for (const int n : group) {
-                if (n < 0 || static_cast<std::size_t>(n) >= n_nodes) {
-                  errors.push_back("partition group names node " +
-                                   std::to_string(n) +
-                                   " outside the cluster");
-                }
-              }
-            }
-            break;
           case fault::FaultAction::Kind::kHeal:
             break;
           default:
             errors.push_back(
-                "fault plan action \"" + act.describe() +
-                "\": only crash, restart, lose-next, partition and heal "
+                "fault plan action '" + act.describe() +
+                "': only crash, restart, lose-next, partition and heal "
                 "become explorable choices");
             break;
         }
       }
     } catch (const std::exception& e) {
-      errors.push_back(std::string("fault plan: ") + e.what());
+      errors.emplace_back(e.what());
     }
   }
   return errors;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fault/campaign.hpp"
 #include "net/delay_model.hpp"
 #include "obs/tracer.hpp"
 
@@ -219,29 +220,11 @@ void World::apply(const Choice& c) {
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     case Choice::Kind::kCrash:
-      nodes_.cluster().crash_node(net::NodeId{c.node});
-      action_done_[static_cast<std::size_t>(c.action)] = 1;
-      break;
     case Choice::Kind::kRestart:
-      nodes_.cluster().restart_node(net::NodeId{c.node});
-      action_done_[static_cast<std::size_t>(c.action)] = 1;
-      break;
-    case Choice::Kind::kPartition: {
-      const fault::FaultAction& act =
-          actions_[static_cast<std::size_t>(c.action)];
-      std::vector<std::vector<net::NodeId>> groups;
-      groups.reserve(act.groups.size());
-      for (const auto& group : act.groups) {
-        std::vector<net::NodeId>& g = groups.emplace_back();
-        g.reserve(group.size());
-        for (int n : group) g.push_back(net::NodeId{n});
-      }
-      nodes_.network().faults().set_partition(std::move(groups));
-      action_done_[static_cast<std::size_t>(c.action)] = 1;
-      break;
-    }
+    case Choice::Kind::kPartition:
     case Choice::Kind::kHeal:
-      nodes_.network().faults().heal_partition();
+      fault::apply_cluster_action(
+          nodes_.cluster(), actions_[static_cast<std::size_t>(c.action)]);
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
   }

@@ -239,6 +239,18 @@ TEST(Cli, NonFiniteValuesFailUpFrontNamingTheField) {
   }
 }
 
+TEST(Cli, FaultPlanErrorsComeWithEveryOtherConfigError) {
+  // One error lists the config problem and both plan problems, found by
+  // FaultPlan::validate before any job runs.  Node 9 is outside --n 5.
+  const std::string error = config_error(
+      parse({"--n", "5", "--t-exec", "-1", "--fault",
+             "t=5 crash 9; t=6 lose-next PRIVILEDGE"}));
+  EXPECT_NE(error.find("t_exec"), std::string::npos) << error;
+  EXPECT_NE(error.find("node 9"), std::string::npos) << error;
+  EXPECT_NE(error.find("t=5 crash 9"), std::string::npos) << error;
+  EXPECT_NE(error.find("\"PRIVILEDGE\""), std::string::npos) << error;
+}
+
 TEST(Cli, JitterNeedsANonConstantDelay) {
   const std::string error = config_error(
       parse({"--jitter", "0.5", "--requests", "300", "--seeds", "1"}));

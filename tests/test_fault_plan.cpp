@@ -1,5 +1,5 @@
 // Chaos campaign engine: fault-plan parsing, single-counted drop
-// adjudication, one-shot observability and cancellation, campaign execution
+// adjudication, one-shot observability, campaign execution
 // against a live cluster, recovery metrics, the progress/liveness monitor,
 // and end-to-end campaign runs through the experiment harness.
 #include <gtest/gtest.h>
@@ -84,9 +84,13 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
 }
 
 TEST(FaultPlanParse, UnknownMessageTypeIsNotAParseError) {
-  // The registry may not be populated at parse time; the CampaignRunner
-  // validates type names at start().
-  EXPECT_EQ(FaultPlan::parse("t=5 lose-next NO-SUCH-TYPE").size(), 1u);
+  // Type names and node ranges are FaultPlan::validate's job.
+  const FaultPlan plan = FaultPlan::parse("t=5 lose-next NO-SUCH-TYPE");
+  EXPECT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan.validate(3).size(), 1u);
+  EXPECT_TRUE(FaultPlan::parse("t=5 lose-next *; t=6 dup-next * from=2")
+                  .validate(3)
+                  .empty());
 }
 
 TEST(FaultPlanParse, DisruptiveClassification) {
@@ -257,18 +261,21 @@ TEST_F(DropCountingTest, PendingCountCoversDuplicateOneShots) {
   EXPECT_EQ(recorders_[1]->received.size(), 2u);  // Original + one copy.
 }
 
-TEST_F(DropCountingTest, CancelledOneShotNeverFires) {
-  make_net(2);
+TEST_F(DropCountingTest, WildcardOneShotMatchesAnyTypeOnItsLink) {
+  make_net(3);
   auto& f = net_->faults();
-  const auto id = f.drop_next_of_type("CHAOS-PING");
-  EXPECT_TRUE(f.cancel_one_shot(id));
-  EXPECT_FALSE(f.cancel_one_shot(id));  // already gone
-  EXPECT_FALSE(f.one_shot_pending(id));
-  EXPECT_EQ(f.one_shots_pending(), 0u);
-  net_->send(net::NodeId{0}, net::NodeId{1}, net::make_payload<ChaosPing>());
+  f.drop_next_of_type("*", net::NodeId{}, net::NodeId{2});
+  f.duplicate_next_of_type("*", net::NodeId{0});
+  net_->send(net::NodeId{0}, net::NodeId{1}, net::make_payload<ChaosPong>());
+  net_->send(net::NodeId{0}, net::NodeId{2}, net::make_payload<ChaosPing>());
   sim_.run();
-  EXPECT_EQ(f.one_shots_fired(), 0u);
-  EXPECT_EQ(recorders_[1]->received.size(), 1u);
+  // The duplicate took the first message from node 0 whatever its type; the
+  // drop skipped it (wrong receiver) and took the first one to node 2.
+  EXPECT_EQ(f.duplicates_injected(), 1u);
+  EXPECT_EQ(recorders_[1]->received.size(), 2u);
+  EXPECT_EQ(f.one_shots_fired(), 1u);
+  EXPECT_TRUE(recorders_[2]->received.empty());
+  EXPECT_EQ(f.one_shots_pending(), 0u);
 }
 
 TEST_F(DropCountingTest, DoomedMessageDoesNotConsumeOneShot) {
@@ -367,6 +374,42 @@ TEST(CampaignRunner, ValidatesPlanAgainstClusterAndRegistry) {
                                   FaultPlan::parse("t=1 crash 0"));
     EXPECT_THROW(in_past.start(), std::invalid_argument);
   }
+}
+
+TEST(CampaignRunner, WildcardLoseNextDropsExactlyOneMessage) {
+  testbed::MutexCluster tb("arbiter-tp", 5, recovery_params());
+  fault::CampaignRunner campaign(tb.cluster(),
+                                 FaultPlan::parse("t=5 lose-next *"));
+  campaign.start();
+  for (std::size_t i = 0; i < 5; ++i) tb.submit_at(5.0, i);
+  tb.sim().run_until(sim::SimTime::units(200.0));
+  const net::FaultInjector& f = tb.network().faults();
+  EXPECT_EQ(campaign.unfired_targeted_drops(), 0u);
+  EXPECT_EQ(f.one_shots_fired(), 1u);
+  EXPECT_EQ(f.dropped_count(), 1u);
+  EXPECT_EQ(tb.network().stats().dropped, 1u);
+  EXPECT_EQ(tb.total_completed(), 5u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
+}
+
+TEST(CampaignRunner, WildcardDupNextInjectsExactlyOneCopy) {
+  // Over the reliable transport, so the extra copy of whatever frame comes
+  // next is absorbed by the receiver's dedup.
+  testbed::MutexCluster tb(
+      "arbiter-tp", 5, recovery_params(), /*t_msg=*/0.1, /*t_exec=*/0.1,
+      /*seed=*/1,
+      net::ReliableTransportConfig::scaled_to(sim::SimTime::units(0.1)));
+  fault::CampaignRunner campaign(tb.cluster(),
+                                 FaultPlan::parse("t=5 dup-next *"));
+  campaign.start();
+  for (std::size_t i = 0; i < 5; ++i) tb.submit_at(5.0, i);
+  tb.sim().run_until(sim::SimTime::units(200.0));
+  EXPECT_EQ(campaign.unfired_targeted_drops(), 0u);
+  EXPECT_EQ(tb.network().faults().duplicates_injected(), 1u);
+  EXPECT_EQ(tb.network().stats().duplicated, 1u);
+  EXPECT_EQ(tb.cluster().transport_stats().dup_dropped, 1u);
+  EXPECT_EQ(tb.total_completed(), 5u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(CampaignRunner, CancelStopsPendingActions) {
@@ -549,6 +592,16 @@ TEST(CampaignEndToEnd, TargetedDropCampaignFiresItsOneShot) {
   EXPECT_EQ(r.unfired_targeted_drops, 0u);  // the drop actually hit
   EXPECT_TRUE(r.drained);
   EXPECT_GE(r.protocol.tokens_regenerated, 1u);
+}
+
+TEST(CampaignEndToEnd, WildcardDropCampaignFiresItsOneShot) {
+  const auto with = harness::run_experiment(campaign_config("t=5 lose-next *"));
+  const auto without = harness::run_experiment(campaign_config(""));
+  EXPECT_EQ(with.faults_injected, 1u);
+  EXPECT_EQ(with.unfired_targeted_drops, 0u);  // some message was dropped
+  EXPECT_TRUE(with.drained);
+  // The drop changes the run: it is not the fault-free schedule.
+  EXPECT_NE(with.messages_total, without.messages_total);
 }
 
 TEST(CampaignEndToEnd, BrokenPlanIsCaughtByTheMonitorNotTheBackstop) {

@@ -333,5 +333,51 @@ TEST(ArbiterParams, AcceptsTheZerosThatDisableAFeature) {
   EXPECT_EQ(a.monitor, net::NodeId{0});
 }
 
+// The baseline factories read their keys through the same checked readers
+// as ArbiterParams, so a bad value fails at construction naming its key
+// instead of being truncated or reaching the simulator's clock.
+void expect_factory_rejects(const std::string& algo, const std::string& key,
+                            double value) {
+  harness::register_builtin_algorithms();
+  ParamSet p;
+  p.set(key, value);
+  try {
+    (void)Registry::instance().create(algo,
+                                      FactoryContext{net::NodeId{0}, 3, p});
+    ADD_FAILURE() << algo << " accepted " << key << "=" << value;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+void expect_factory_accepts(const std::string& algo, const std::string& key,
+                            double value) {
+  harness::register_builtin_algorithms();
+  ParamSet p;
+  p.set(key, value);
+  EXPECT_NE(Registry::instance().create(algo,
+                                        FactoryContext{net::NodeId{0}, 3, p}),
+            nullptr);
+}
+
+TEST(BaselineParams, TokenRingHopDwellIsANonNegativeTime) {
+  expect_factory_rejects("token-ring", "hop_dwell", -1.0);
+  expect_factory_rejects("token-ring", "hop_dwell", std::nan(""));
+  expect_factory_rejects("token-ring", "hop_dwell", HUGE_VAL);
+  expect_factory_accepts("token-ring", "hop_dwell", 0.5);
+}
+
+TEST(BaselineParams, CentralizedCoordinatorIsAWholeNodeIndex) {
+  expect_factory_rejects("centralized", "coordinator", 1.5);
+  expect_factory_rejects("centralized", "coordinator", -1.0);
+  expect_factory_accepts("centralized", "coordinator", 2.0);
+}
+
+TEST(BaselineParams, SuzukiKasamiInitialHolderIsAWholeNodeIndex) {
+  expect_factory_rejects("suzuki-kasami", "initial_holder", 2.7);
+  expect_factory_rejects("suzuki-kasami", "initial_holder", std::nan(""));
+  expect_factory_accepts("suzuki-kasami", "initial_holder", 2.0);
+}
+
 }  // namespace
 }  // namespace dmx::mutex

@@ -151,18 +151,6 @@ TEST_F(NetworkTest, OneShotDropFiltersSrcAndDst) {
   EXPECT_EQ(recorders_[1]->received.size(), 1u);
 }
 
-TEST_F(NetworkTest, CancelOneShot) {
-  net_ = std::make_unique<Network>(
-      sim_, 2, std::make_unique<ConstantDelay>(sim::SimTime::units(0.1)), 1);
-  attach_all(2);
-  const auto id = net_->faults().drop_next_of_type("PING");
-  EXPECT_TRUE(net_->faults().cancel_one_shot(id));
-  EXPECT_FALSE(net_->faults().cancel_one_shot(id));
-  net_->send(NodeId{0}, NodeId{1}, make_payload<PingMsg>(1));
-  sim_.run();
-  EXPECT_EQ(recorders_[1]->received.size(), 1u);
-}
-
 TEST_F(NetworkTest, DownNodeReceivesAndSendsNothing) {
   net_ = std::make_unique<Network>(
       sim_, 3, std::make_unique<ConstantDelay>(sim::SimTime::units(0.1)), 1);

@@ -8,8 +8,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "fault/campaign.hpp"
+#include "harness/experiment.hpp"
 #include "obs/sinks.hpp"
+#include "testbed.hpp"
 #include "verify/counterexample.hpp"
 #include "verify/explorer.hpp"
 #include "verify/mutants.hpp"
@@ -494,6 +498,57 @@ TEST(VerifyConfig, RejectsOutOfScopeConfigs) {
   cfg = base_config("arbiter-tp");
   cfg.fault_plan = "t=1 partition 0,1|2; t=2 heal";
   EXPECT_NO_THROW(cfg.check());
+}
+
+// ------------------------------------------------- one plan check
+
+// Every driver rejects the same bad plans through FaultPlan::validate, each
+// with a message naming the offending action: the sweep's config check, a
+// campaign at start(), and the verifier (whose own rule only adds that
+// dup-next and loss are not explorable).
+TEST(FaultPlanValidate, EveryDriverRejectsTheSameBadPlans) {
+  const char* const plans[] = {
+      "t=5 crash 9",
+      "t=5 partition 0|7",
+      "t=5 lose-next FOO",
+      "t=5 lose-next PRIVILEGE from=7",
+      "t=5 dup-next FOO to=7",
+      "t=5 loss FOO=0.1",
+  };
+  const auto names = [](const std::vector<std::string>& errors,
+                        const std::string& action) {
+    for (const std::string& e : errors) {
+      if (e.find("'" + action + "'") != std::string::npos) return true;
+    }
+    return false;
+  };
+  for (const std::string plan : plans) {
+    harness::ExperimentConfig sweep;
+    sweep.n_nodes = 3;
+    sweep.fault_plan = plan;
+    EXPECT_TRUE(names(sweep.validate(), plan)) << plan;
+
+    testbed::MutexCluster tb("arbiter-tp", 3, mutex::ParamSet{});
+    fault::CampaignRunner campaign(tb.cluster(),
+                                   fault::FaultPlan::parse(plan));
+    try {
+      campaign.start();
+      ADD_FAILURE() << "CampaignRunner::start accepted " << plan;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(names({e.what()}, plan)) << e.what();
+    }
+
+    VerifyConfig verify = base_config("arbiter-tp");
+    verify.fault_plan = plan;
+    EXPECT_TRUE(names(verify.validate(), plan)) << plan;
+  }
+  // The parent verifier let an out-of-range from=/to= through and then
+  // explored the fault-free world.
+  VerifyConfig verify = base_config("arbiter-tp");
+  verify.fault_plan = "t=0 lose-next PRIVILEGE from=7";
+  const std::vector<std::string> errors = verify.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("node 7"), std::string::npos) << errors[0];
 }
 
 }  // namespace

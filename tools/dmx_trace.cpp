@@ -17,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
 #include "harness/cli.hpp"
 #include "mutex/mutex_cluster.hpp"
 #include "mutex/registry.hpp"
@@ -134,10 +135,18 @@ int main(int argc, char** argv) {
       usage_error("--t-msg and --t-exec must be finite and >= 0");
     }
   }
+  if (!(std::isfinite(until) && until >= 0.0)) {
+    usage_error("--until must be finite and >= 0");
+  }
 
   harness::register_builtin_algorithms();
   if (!mutex::Registry::instance().contains(algo)) {
     usage_error("unknown algorithm " + algo + " (see dmx_sweep --list)");
+  }
+  for (const auto& type : drops) {
+    if (!fault::is_message_type(type)) {
+      usage_error("--drop names unregistered message type " + type);
+    }
   }
 
   // The console view: an unbuffered text sink, so the event log interleaves
